@@ -142,38 +142,63 @@ ScheduleResult runCold(const Problem& problem, const SolveSpec& spec,
 
 ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
                                  const SolveSpec& spec, SolveInfo* infoOut) {
-  SolveInfo info;
   if (cache == nullptr) {
     // No cache: the historical dispatch, bit-for-bit.
+    SolveInfo info;
     ScheduleResult r = runCold(problem, spec, std::nullopt, info);
     if (infoOut != nullptr) *infoOut = info;
     return r;
   }
-
-  // Key-only canonicalization: the exact-hit probe needs just the hash.
-  // The structural skeleton (near-miss lookup, insertion) is recomputed
-  // below, only once rung 1 has missed.
-  CanonicalForm canonical = canonicalize(problem, CanonicalParts::kKeyOnly);
-  const CacheKey key{canonical.hash,
-                     optionsFingerprint(spec.scheduler, spec.trials)};
-
-  // Rung 1: exact hit.
+  const CacheKey key = exactKey(problem, spec);
   if (std::optional<ScheduleResult> served =
-          tryServeExact(*cache, problem, spec, &info)) {
-    if (infoOut != nullptr) *infoOut = info;
+          tryServeExact(*cache, problem, key, infoOut)) {
     return std::move(*served);
   }
+  return solveMiss(*cache, problem, spec, key, infoOut);
+}
 
-  // Past the exact probe: the structural hash is needed from here on
-  // (near-miss lookup now, insertion after the solve).
-  canonical = canonicalize(problem, CanonicalParts::kFull);
+CacheKey exactKey(const Problem& problem, const SolveSpec& spec) {
+  // Key-only canonicalization: the exact-hit probe needs just the hash.
+  return CacheKey{canonicalize(problem, CanonicalParts::kKeyOnly).hash,
+                  optionsFingerprint(spec.scheduler, spec.trials)};
+}
+
+std::optional<ScheduleResult> tryServeExact(ScheduleCache& cache,
+                                            const Problem& problem,
+                                            const CacheKey& key,
+                                            SolveInfo* infoOut) {
+  std::optional<CacheEntry> entry = cache.lookup(key);
+  if (!entry.has_value()) return std::nullopt;
+  std::optional<Schedule> schedule = rebind(*entry, problem);
+  if (!schedule.has_value()) return std::nullopt;
+  if (infoOut != nullptr) {
+    *infoOut = SolveInfo{};
+    infoOut->cacheHit = true;
+    infoOut->provenOptimal = entry->provenOptimal;
+  }
+  ScheduleResult r;
+  r.status = SchedStatus::kOk;
+  r.schedule = std::move(schedule);
+  r.stats = entry->stats;
+  r.message = "served from schedule cache";
+  return r;
+}
+
+ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
+                         const SolveSpec& spec, const CacheKey& key,
+                         SolveInfo* infoOut) {
+  SolveInfo info;
+  // Past the exact probe the structural hash is needed too (near-miss
+  // lookup now, insertion after the solve): one full canonicalization.
+  const std::uint64_t structuralHash =
+      canonicalize(problem, CanonicalParts::kFull).structuralHash;
 
   // Rung 2: near-miss revalidation — pipeline only. Serving a structurally
   // matching but numerically different entry is a heuristic answer, which
   // is exactly the pipeline's contract and exactly wrong for `optimal`.
   if (spec.nearMiss && spec.scheduler == "pipeline") {
     if (std::optional<CacheEntry> candidate =
-            cache->lookupStructural(canonical.structuralHash, key.optionsFp)) {
+            cache.lookupStructural(structuralHash, key.optionsFp)) {
       io::ScheduleParseResult parsed =
           io::parseSchedule(candidate->scheduleText, problem);
       if (parsed.ok()) {
@@ -204,12 +229,11 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
         }
         if (served.ok() &&
             ScheduleValidator(problem).validate(*served.schedule).valid()) {
-          cache->noteRevalidation();
+          cache.noteRevalidation();
           info.revalidated = true;
           served.message = "revalidated from schedule cache (near miss)";
-          insertClean(*cache, key, canonical.structuralHash, problem,
-                      spec.scheduler, served, /*nodesExplored=*/0,
-                      /*provenOptimal=*/false);
+          insertClean(cache, key, structuralHash, problem, spec.scheduler,
+                      served, /*nodesExplored=*/0, /*provenOptimal=*/false);
           if (infoOut != nullptr) *infoOut = info;
           return served;
         }
@@ -225,11 +249,11 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
   std::optional<WarmSeed> seed;
   if (spec.warmStart && spec.scheduler == "optimal") {
     const Time horizon = defaultHorizon(problem);
-    const CacheKey pipelineKey{canonical.hash,
+    const CacheKey pipelineKey{key.problemHash,
                                optionsFingerprint("pipeline", spec.trials)};
     std::optional<Schedule> heuristic;
     ScheduleResult pipelineResult;
-    if (std::optional<CacheEntry> entry = cache->peek(pipelineKey)) {
+    if (std::optional<CacheEntry> entry = cache.peek(pipelineKey)) {
       heuristic = rebind(*entry, problem);
     }
     if (!heuristic.has_value()) {
@@ -249,8 +273,8 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
               .validate(*pipelineResult.schedule)
               .valid()) {
         heuristic = *pipelineResult.schedule;
-        insertClean(*cache, pipelineKey, canonical.structuralHash, problem,
-                    "pipeline", pipelineResult, /*nodesExplored=*/0,
+        insertClean(cache, pipelineKey, structuralHash, problem, "pipeline",
+                    pipelineResult, /*nodesExplored=*/0,
                     /*provenOptimal=*/false);
       }
     }
@@ -278,7 +302,7 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
       seed = WarmSeed{heuristic->energyCost(problem.minPower()),
                       heuristic->finish()};
       info.warmStarted = true;
-      cache->noteWarmStart();
+      cache.noteWarmStart();
     }
   }
 
@@ -290,36 +314,11 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
   const bool clean = r.ok() && info.stopReason == guard::StopReason::kNone &&
                      (spec.scheduler != "optimal" || info.provenOptimal);
   if (clean) {
-    insertClean(*cache, key, canonical.structuralHash, problem,
-                spec.scheduler, r, info.nodesExplored, info.provenOptimal);
+    insertClean(cache, key, structuralHash, problem, spec.scheduler, r,
+                info.nodesExplored, info.provenOptimal);
   }
   if (infoOut != nullptr) *infoOut = info;
   return r;
-}
-
-std::optional<ScheduleResult> tryServeExact(ScheduleCache& cache,
-                                            const Problem& problem,
-                                            const SolveSpec& spec,
-                                            SolveInfo* infoOut) {
-  const CanonicalForm canonical =
-      canonicalize(problem, CanonicalParts::kKeyOnly);
-  const CacheKey key{canonical.hash,
-                     optionsFingerprint(spec.scheduler, spec.trials)};
-  if (std::optional<CacheEntry> entry = cache.lookup(key)) {
-    if (std::optional<Schedule> schedule = rebind(*entry, problem)) {
-      if (infoOut != nullptr) {
-        infoOut->cacheHit = true;
-        infoOut->provenOptimal = entry->provenOptimal;
-      }
-      ScheduleResult r;
-      r.status = SchedStatus::kOk;
-      r.schedule = std::move(schedule);
-      r.stats = entry->stats;
-      r.message = "served from schedule cache";
-      return r;
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace paws::cache

@@ -25,6 +25,13 @@
 //      as cache.warm_starts.
 //   4. cold solve — no cache, or nothing reusable.
 //
+// The ladder is also available in its three parts, so a server can take
+// rung 1 on its connection thread and hand only misses to a worker:
+// exactKey() computes the request's key once (one key-only
+// canonicalization), tryServeExact() is rung 1, and solveMiss() runs
+// rungs 2-4 from one full canonicalization without probing rung 1 again.
+// solveThroughCache is exactly their composition.
+//
 // Clean, fully-solved results (status kOk, no budget/deadline trip, and
 // for `optimal` a proven-optimal verdict) are inserted back. With
 // `cache == nullptr` the function degrades to the plain dispatch and is
@@ -32,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "cache/schedule_cache.hpp"
@@ -75,19 +83,29 @@ struct SolveInfo {
 };
 
 /// Solves `problem` through `cache` (nullptr = always cold). The returned
-/// schedule is bound to `problem`.
+/// schedule is bound to `problem`. Equivalent to exactKey, then
+/// tryServeExact, then solveMiss when rung 1 missed.
 ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
                                  const SolveSpec& spec,
                                  SolveInfo* infoOut = nullptr);
 
-/// Rung 1 alone: serve an exact cache hit, or return nullopt WITHOUT
-/// solving. This is pawsd's cache-only overload rung — under shedding the
-/// daemon still answers repeated traffic in microseconds while refusing
-/// anything that would cost a solve. Identical serve semantics to the
-/// exact-hit rung of solveThroughCache (rebind by name + revalidate).
+/// The exact-hit key of `problem` under `spec`: its key-only canonical
+/// hash and the options fingerprint of (scheduler, trials).
+[[nodiscard]] CacheKey exactKey(const Problem& problem, const SolveSpec& spec);
+
+/// Rung 1 alone: serve the entry under `key` (rebind by name + revalidate),
+/// or return nullopt WITHOUT solving. Counts one cache hit or miss. On a
+/// hit `*infoOut` is overwritten; on a miss it is left alone.
 std::optional<ScheduleResult> tryServeExact(ScheduleCache& cache,
                                             const Problem& problem,
-                                            const SolveSpec& spec,
+                                            const CacheKey& key,
                                             SolveInfo* infoOut = nullptr);
+
+/// Rungs 2-4 for a request whose rung-1 probe under `key` (from exactKey)
+/// missed: near-miss, warm start, cold solve, and insertion of a clean
+/// result under `key`. Never probes rung 1, so the miss is counted once.
+ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
+                         const SolveSpec& spec, const CacheKey& key,
+                         SolveInfo* infoOut = nullptr);
 
 }  // namespace paws::cache

@@ -1,5 +1,9 @@
 #include "cache/schedule_cache.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -186,14 +190,36 @@ bool ScheduleCache::save(const std::string& path, std::string* error) const {
     }
   }
   os << "\n  ]\n}\n";
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
+
+  // Crash safety: the new document goes to a sibling temp file, reaches
+  // the disk (fsync), and only then replaces `path` in one rename. A kill
+  // at any point leaves either the old file or the new one, never a
+  // truncated mix.
+  const std::string body = os.str();
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    if (error != nullptr) *error = "cannot open " + tmp + " for writing";
     return false;
   }
-  out << os.str();
-  if (!out) {
-    if (error != nullptr) *error = "short write to " + path;
+  std::size_t written = 0;
+  while (written < body.size()) {
+    const ssize_t n =
+        ::write(fd, body.data() + written, body.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    written += static_cast<std::size_t>(n);
+  }
+  const bool synced = written == body.size() && ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    ::unlink(tmp.c_str());
+    if (error != nullptr) *error = "short write to " + tmp;
+    return false;
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    if (error != nullptr) *error = "cannot replace " + path;
     return false;
   }
   return true;

@@ -22,7 +22,8 @@
 // format is versioned ("schema": 1); unreadable files or entries are
 // skipped, never fatal — a corrupt cache costs time, not correctness
 // (served entries are re-validated against the querying problem anyway,
-// see cached_solve.cpp).
+// see cached_solve.cpp). save() replaces the file atomically (temp file,
+// fsync, rename), so a crash mid-flush keeps the previous file whole.
 #pragma once
 
 #include <atomic>
@@ -138,8 +139,10 @@ class ScheduleCache {
   /// cache.load_skipped_entries) — the --obs-summary / RunReport surface.
   void exportMetrics(obs::MetricsRegistry& registry) const;
 
-  /// Writes every live entry as one JSON document. Returns false (with
-  /// `*error` set when non-null) on I/O failure.
+  /// Writes every live entry as one JSON document, crash-safely: into the
+  /// sibling temp file `<path>.tmp.<pid>`, fsync'ed, then renamed over
+  /// `path`. Returns false (with `*error` set when non-null) on I/O
+  /// failure, leaving any previous file at `path` untouched.
   bool save(const std::string& path, std::string* error = nullptr) const;
   /// Merges entries from `path` into the cache (oldest first, so recency
   /// survives a round trip). Missing file => false with empty error: a

@@ -188,8 +188,19 @@ const LongestPathResult& LongestPathEngine::runImpl(TaskId source,
     }
   }
 
-  // Work-list Bellman–Ford. A vertex improved more than |V| times lies on
-  // (or is fed by) a positive cycle.
+  const auto settled = [&]() -> const LongestPathResult& {
+    hasValidRun_ = true;
+    lastSource_ = source;
+    lastGeneration_ = graph_.generation();
+    lastEdgeCount_ = graph_.numEdges();
+    return result_;
+  };
+
+  // Work-list Bellman–Ford. Past |V|+1 improvements a vertex is suspect,
+  // but the count alone proves nothing: a work-list improves a vertex
+  // once per improving in-edge per lap, so a feasible graph with parallel
+  // or dense in-edges can pass it. A parent cycle is a witness; without
+  // one, exact rounds decide.
   const std::uint32_t relaxLimit = static_cast<std::uint32_t>(n) + 1;
   std::size_t head = 0;
   while (head < queue_.size()) {
@@ -224,6 +235,9 @@ const LongestPathResult& LongestPathEngine::runImpl(TaskId source,
         // the common case during scheduler backtracking, and each extra
         // pump lap re-relaxes the whole downstream subgraph.
         if (improvements > relaxLimit) {
+          if (!findParentCycle(ae.other).isValid() && settleByRounds(record)) {
+            return settled();
+          }
           extractPositiveCycle(ae.other);
           hasValidRun_ = false;
           result_.feasible = false;
@@ -245,11 +259,37 @@ const LongestPathResult& LongestPathEngine::runImpl(TaskId source,
     }
   }
 
-  hasValidRun_ = true;
-  lastSource_ = source;
-  lastGeneration_ = graph_.generation();
-  lastEdgeCount_ = graph_.numEdges();
-  return result_;
+  return settled();
+}
+
+bool LongestPathEngine::settleByRounds(bool record) {
+  const std::size_t n = graph_.numVertices();
+  // Every current distance is the length of a real walk from the source,
+  // so rounds started from them converge to the exact longest paths within
+  // n laps when no positive cycle is reachable.
+  std::vector<Time> dist = result_.dist;
+  bool changed = true;
+  for (std::size_t lap = 0; changed && lap <= n; ++lap) {
+    changed = false;
+    for (const ConstraintEdge& e : graph_.edges()) {
+      const Time du = dist[e.from.index()];
+      if (du == Time::minusInfinity() || du + e.weight <= dist[e.to.index()]) {
+        continue;
+      }
+      dist[e.to.index()] = du + e.weight;
+      changed = true;
+    }
+  }
+  if (changed) return false;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (dist[v] == result_.dist[v]) continue;
+    if (record) {
+      undoLog_.push_back(
+          Undo{static_cast<std::uint32_t>(v), result_.dist[v]});
+    }
+    result_.dist[v] = dist[v];
+  }
+  return true;
 }
 
 void LongestPathEngine::extractPositiveCycle(TaskId overRelaxed) {

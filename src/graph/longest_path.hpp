@@ -114,6 +114,12 @@ class LongestPathEngine {
   /// Fills result_.cycle/cycleEdges by looping the parent chain from a
   /// vertex known to lie on a parent-graph cycle.
   void collectCycleAt(TaskId onCycle);
+  /// Exact verdict for a run whose improvement count tripped the (n+1)
+  /// bound without a parent-graph cycle: full Bellman–Ford rounds over
+  /// every edge, starting from the current distances. On convergence the
+  /// distances are installed (logged when `record`) and true is returned;
+  /// false (nothing touched) when the rounds still improve after n laps.
+  [[nodiscard]] bool settleByRounds(bool record);
 
   const ConstraintGraph& graph_;
   LongestPathResult result_;
@@ -131,8 +137,8 @@ class LongestPathEngine {
   // for a cycle. A cycle in the parent graph is always a strictly positive
   // cycle — every parent edge was a strict improvement when assigned, and
   // distances only grow, so a zero-weight cycle cannot close. Checks
-  // escalate geometrically per vertex; the blind n-step walk at the
-  // classic (n+1)-improvement bound remains the guaranteed fallback.
+  // escalate geometrically per vertex; at the (n+1)-improvement bound a
+  // parent cycle or, failing one, settleByRounds() gives the verdict.
   std::vector<std::uint32_t> nextCheck_;
   std::vector<std::uint32_t> walkStamp_;
   std::uint32_t walkEpoch_ = 0;

@@ -385,32 +385,6 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
   // single-threaded `pawsc schedule` run (the determinism contract).
   spec.jobs = 1;
 
-  if (mode == ServiceMode::kCacheOnly) {
-    // Shedding rung 2: repeated traffic still gets its microsecond
-    // answer; anything needing a solve is refused.
-    cache::SolveInfo info;
-    std::optional<ScheduleResult> served =
-        cache::tryServeExact(cache_, *problem.problem, spec, &info);
-    if (!served.has_value()) {
-      return refuse("overloaded", "cache_only", "serve.shed");
-    }
-    const Schedule& s = *served->schedule;
-    response.outcome = "ok";
-    response.mode = toString(mode);
-    response.cacheHit = true;
-    response.finishTicks = s.finish().ticks();
-    response.energyCostMwt =
-        s.energyCost(problem.problem->minPower()).milliwattTicks();
-    response.scheduleText = io::scheduleToText(s, spec.scheduler);
-    response.scheduleDigest = scheduleDigest(response.scheduleText);
-    response.serviceUs = usBetween(started, Clock::now());
-    ladder_.recordServiceUs(response.serviceUs);
-    bumpServe("serve.accepted");
-    bumpServe("serve.completed");
-    bumpServe("serve.cache_hits");
-    return sendFrame(conn.fd, FrameType::kResponse, toJson(response));
-  }
-
   bool degraded = false;
   if (mode == ServiceMode::kDegraded && spec.scheduler == "optimal") {
     // Shedding rung 1: exhaustive work is the first thing to go — the
@@ -418,6 +392,68 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
     // cheaper, at heuristic quality.
     spec.scheduler = "pipeline";
     degraded = true;
+  }
+  const Problem& prob = *problem.problem;
+
+  // Every settled request — an exact hit answered here or a worker's
+  // solve — leaves through this one reply. The request stays in
+  // inflight_ until its answer is on the wire: the drain supervisor must
+  // not cut a connection that still owes its client an answer.
+  const auto answer = [&](const ScheduleResult& result,
+                          const cache::SolveInfo& info) {
+    response.outcome = outcomeOf(result.status, result.schedule.has_value());
+    response.reason = result.status == SchedStatus::kDeadlineExceeded &&
+                              conn.cancel.cancelled()
+                          ? "cancelled"
+                          : (result.status == SchedStatus::kOk
+                                 ? ""
+                                 : toString(result.status));
+    response.mode = toString(mode);
+    response.degraded = degraded;
+    response.cacheHit = info.servedFromCache();
+    if (result.schedule.has_value()) {
+      const Schedule& s = *result.schedule;
+      response.finishTicks = s.finish().ticks();
+      response.energyCostMwt = s.energyCost(prob.minPower()).milliwattTicks();
+      response.scheduleText = io::scheduleToText(s, spec.scheduler);
+      response.scheduleDigest = scheduleDigest(response.scheduleText);
+    }
+    response.serviceUs = usBetween(started, Clock::now());
+    ladder_.recordServiceUs(response.serviceUs);
+    {
+      std::lock_guard<std::mutex> lock(metricsMu_);
+      metrics_.observe("serve.service_time_us",
+                       static_cast<double>(response.serviceUs));
+    }
+    bumpServe("serve.completed");
+    if (info.servedFromCache()) bumpServe("serve.cache_hits");
+    if (result.status == SchedStatus::kDeadlineExceeded) {
+      bumpServe("serve.deadline");
+    }
+    const bool sent =
+        sendFrame(conn.fd, FrameType::kResponse, toJson(response));
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    return sent;
+  };
+
+  // Rung 1 on this thread, before admission: an exact hit costs one
+  // key-only canonicalization and no hand-off, in every mode that still
+  // takes requests. The key rides along to the worker on a miss.
+  inflight_.fetch_add(1, std::memory_order_acq_rel);
+  const cache::CacheKey key = cache::exactKey(prob, spec);
+  {
+    cache::SolveInfo info;
+    if (std::optional<ScheduleResult> served =
+            cache::tryServeExact(cache_, prob, key, &info)) {
+      bumpServe("serve.accepted");
+      if (degraded) bumpServe("serve.degraded");
+      return answer(*served, info);
+    }
+  }
+  if (mode == ServiceMode::kCacheOnly) {
+    // Shedding rung 2: anything needing a solve is refused.
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    return refuse("overloaded", "cache_only", "serve.shed");
   }
 
   // Per-request budget: client timeout (already capped by the protocol)
@@ -434,26 +470,22 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
     conn.cancel = guard::CancelSource();
     token = conn.cancel.token();
   }
-  const Problem& prob = *problem.problem;
   auto perRequest = std::make_shared<obs::MetricsRegistry>();
   auto solvePromise = std::make_shared<
       std::promise<std::pair<ScheduleResult, cache::SolveInfo>>>();
   std::future<std::pair<ScheduleResult, cache::SolveInfo>> solveFuture =
       solvePromise->get_future();
 
-  // Count the request in-flight from BEFORE admission to AFTER its
-  // response hits the socket: the drain supervisor must not cut a
-  // connection that still owes its client an answer.
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
   conn.solving.store(true, std::memory_order_release);
   const bool admitted = pool_.trySubmit(
-      [this, &prob, spec, timeoutMs, token, perRequest, solvePromise]() mutable {
+      [this, &prob, spec, key, timeoutMs, token, perRequest,
+       solvePromise]() mutable {
         spec.budget.timeout = std::chrono::milliseconds(timeoutMs);
         spec.budget.cancel = token;
         spec.budget = spec.budget.resolved();
         spec.obs.metrics = perRequest.get();
         cache::SolveInfo info;
-        ScheduleResult r = solveThroughCache(&cache_, prob, spec, &info);
+        ScheduleResult r = cache::solveMiss(cache_, prob, spec, key, &info);
         solvePromise->set_value({std::move(r), info});
       });
   if (!admitted) {
@@ -489,41 +521,7 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     return false;  // nobody to answer; close the slot
   }
-
-  response.outcome = outcomeOf(result.status, result.schedule.has_value());
-  response.reason = conn.cancel.cancelled() &&
-                            result.status == SchedStatus::kDeadlineExceeded
-                        ? "cancelled"
-                        : (result.status == SchedStatus::kOk
-                               ? ""
-                               : toString(result.status));
-  response.mode = toString(mode);
-  response.degraded = degraded;
-  response.cacheHit = info.servedFromCache();
-  if (result.schedule.has_value()) {
-    const Schedule& s = *result.schedule;
-    response.finishTicks = s.finish().ticks();
-    response.energyCostMwt = s.energyCost(prob.minPower()).milliwattTicks();
-    response.scheduleText = io::scheduleToText(s, spec.scheduler);
-    response.scheduleDigest = scheduleDigest(response.scheduleText);
-  }
-  response.serviceUs = usBetween(started, Clock::now());
-  ladder_.recordServiceUs(response.serviceUs);
-  {
-    std::lock_guard<std::mutex> lock(metricsMu_);
-    metrics_.observe("serve.service_time_us",
-                     static_cast<double>(response.serviceUs));
-  }
-  bumpServe("serve.completed");
-  if (info.servedFromCache()) bumpServe("serve.cache_hits");
-  if (result.status == SchedStatus::kDeadlineExceeded) {
-    bumpServe("serve.deadline");
-  }
-  const bool sent =
-      sendFrame(conn.fd, FrameType::kResponse, toJson(response));
-  // Only now may the drain supervisor consider this request settled.
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  return sent;
+  return answer(result, info);
 }
 
 bool Daemon::sendFrame(int fd, FrameType type, std::string_view payload) {

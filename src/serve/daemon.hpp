@@ -5,6 +5,10 @@
 //
 //   accept thread ── thread per connection ── bounded exec::Pool
 //
+//   * Exact hits inline: a request's cache key is computed once, on its
+//     connection thread, and an exact cache hit is answered right there,
+//     before admission, in every mode but reject_new and draining. Only
+//     misses (solves) reach the pool, carrying the key with them.
 //   * Admission control: solves enter the worker pool through
 //     Pool::trySubmit against a hard queue bound. A full queue is an
 //     immediate structured `overloaded`/`queue_full` response — the
@@ -18,9 +22,9 @@
 //     expires, or never.
 //   * Overload shedding: a ServiceLadder (serve/ladder.hpp) watches queue
 //     depth and p99 service time and walks healthy → degraded (optimal
-//     requests downgraded to the pipeline heuristic) → cache_only (exact
-//     cache hits only) → reject_new. Every transition is a trace event
-//     and a serve.mode_changes count.
+//     requests downgraded to the pipeline heuristic) → cache_only (solves
+//     refused, exact hits still answered) → reject_new. Every transition
+//     is a trace event and a serve.mode_changes count.
 //   * Graceful drain: requestStop() (async-signal-safe: one atomic store)
 //     makes run() stop accepting, refuse new work with
 //     `overloaded`/`draining`, wait out in-flight solves up to the drain

@@ -1,6 +1,7 @@
 #include "serve/ladder.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace paws::serve {
 
@@ -75,18 +76,23 @@ void ServiceLadder::recordServiceUs(std::int64_t us) {
 }
 
 std::int64_t ServiceLadder::p99ServiceUs() const {
-  std::vector<std::int64_t> sample;
+  // Read on every request, exact hits included: a stack copy and a
+  // linear-time selection, not an allocation and a full sort.
+  std::array<std::int64_t, kWindow> sample{};
+  std::size_t n = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (windowUsed_ == 0) return 0;
-    sample.assign(window_.begin(),
-                  window_.begin() + static_cast<std::ptrdiff_t>(windowUsed_));
+    n = windowUsed_;
+    std::copy_n(window_.begin(), n, sample.begin());
   }
+  if (n == 0) return 0;
   // Nearest-rank p99 on the copied sample, outside the lock.
-  std::sort(sample.begin(), sample.end());
-  const std::size_t rank =
-      (sample.size() * 99 + 99) / 100;  // ceil(n * 0.99), 1-based
-  return sample[std::min(rank, sample.size()) - 1];
+  const std::size_t rank = (n * 99 + 99) / 100;  // ceil(n * 0.99), 1-based
+  const auto nth =
+      sample.begin() + static_cast<std::ptrdiff_t>(std::min(rank, n) - 1);
+  std::nth_element(sample.begin(), nth,
+                   sample.begin() + static_cast<std::ptrdiff_t>(n));
+  return *nth;
 }
 
 }  // namespace paws::serve

@@ -4,6 +4,7 @@
 // abort, a throw, or a poisoned cache. The byte-chopping loop is the
 // regression net: every prefix of a valid file must be survivable.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -19,9 +20,12 @@ namespace {
 class PersistenceFixture : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per test and process: ctest -j runs every test of
+    // this fixture as its own process at once.
     dir_ = std::filesystem::temp_directory_path() /
-           ("paws_persist_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+           (std::string("paws_persist_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / ScheduleCache::kFileName()).string();
   }
@@ -50,6 +54,10 @@ class PersistenceFixture : public ::testing::Test {
     cache.insert(CacheKey{0xdef, 0x1}, b);
     std::string error;
     EXPECT_TRUE(cache.save(path_, &error)) << error;
+    return readFile();
+  }
+
+  std::string readFile() {
     std::ifstream in(path_, std::ios::binary);
     std::ostringstream buf;
     buf << in.rdbuf();
@@ -59,6 +67,34 @@ class PersistenceFixture : public ::testing::Test {
   std::filesystem::path dir_;
   std::string path_;
 };
+
+TEST_F(PersistenceFixture, FailedSaveLeavesThePreviousFileIntact) {
+  const std::string previous = goldenFile();
+  // A directory squatting on the temp name fails the save before its
+  // rename, even for root, as a crash mid-write would cut it short.
+  const std::filesystem::path squatter =
+      path_ + ".tmp." + std::to_string(::getpid());
+  std::filesystem::create_directories(squatter);
+  ScheduleCache replacement(8, 1);
+  CacheEntry e;
+  e.scheduleText = "other";
+  replacement.insert(CacheKey{0x123, 0x2}, e);
+  std::string error;
+  EXPECT_FALSE(replacement.save(path_, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(readFile(), previous);
+  ScheduleCache reloaded;
+  ASSERT_TRUE(reloaded.load(path_, &error)) << error;
+  EXPECT_EQ(reloaded.size(), 2u);
+
+  // With the way clear the save replaces the file and leaves no temp.
+  std::filesystem::remove(squatter);
+  ASSERT_TRUE(replacement.save(path_, &error)) << error;
+  EXPECT_FALSE(std::filesystem::exists(squatter));
+  ScheduleCache replaced;
+  ASSERT_TRUE(replaced.load(path_, &error)) << error;
+  EXPECT_EQ(replaced.size(), 1u);
+}
 
 TEST_F(PersistenceFixture, EveryByteChoppedPrefixIsAStructuredSkip) {
   const std::string golden = goldenFile();

@@ -1,6 +1,7 @@
 #include "cache/schedule_cache.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -110,7 +111,8 @@ TEST(ScheduleCacheTest, ConcurrentMixedTrafficIsSafe) {
 
 TEST(ScheduleCacheTest, SaveLoadRoundTripsEntriesAndRecency) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "paws_cache_test.json")
+      (std::filesystem::temp_directory_path() /
+       ("paws_cache_test_" + std::to_string(::getpid()) + ".json"))
           .string();
   {
     ScheduleCache cache(8, 1);
@@ -152,7 +154,8 @@ TEST(ScheduleCacheTest, LoadMissingFileIsACleanColdStart) {
 
 TEST(ScheduleCacheTest, LoadRejectsGarbageWithoutCrashing) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "paws_cache_garbage.json")
+      (std::filesystem::temp_directory_path() /
+       ("paws_cache_garbage_" + std::to_string(::getpid()) + ".json"))
           .string();
   {
     std::FILE* f = std::fopen(path.c_str(), "w");

@@ -293,5 +293,66 @@ TEST(CachedSolveTest, HashCollisionServesAMissNotAWrongAnswer) {
   EXPECT_TRUE(ScheduleValidator(gp.problem).validate(*r.schedule).valid());
 }
 
+TEST(CachedSolveTest, SplitRungsMatchTheComposedLadder) {
+  // exactKey + tryServeExact + solveMiss is how pawsd takes the ladder
+  // apart (rung 1 on the connection thread, rungs 2-4 on a worker). Over
+  // seeded traffic (first sight, repeat, and a Pmin near miss, under every
+  // scheduler) it must serve the same bytes and count the same traffic as
+  // solveThroughCache. A small cache makes evictions part of the story.
+  ScheduleCache composed(16, 2);
+  ScheduleCache split(16, 2);
+  std::size_t hits = 0;
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    Problem base = generateRandomProblem(smallConfig(seed)).problem;
+    Problem variant = base;
+    variant.setMinPower(variant.minPower() + Watts::fromWatts(0.25));
+    for (const char* scheduler : {"pipeline", "list", "serial", "optimal"}) {
+      SolveSpec spec;
+      spec.scheduler = scheduler;
+      for (const Problem* p : {&base, &base, &variant, &variant}) {
+        SolveInfo a;
+        SolveInfo b;
+        const ScheduleResult viaLadder =
+            solveThroughCache(&composed, *p, spec, &a);
+        const CacheKey key = exactKey(*p, spec);
+        EXPECT_EQ(key.problemHash, canonicalize(*p).hash);
+        std::optional<ScheduleResult> viaSplit =
+            tryServeExact(split, *p, key, &b);
+        if (!viaSplit.has_value()) {
+          viaSplit = solveMiss(split, *p, spec, key, &b);
+        }
+        ASSERT_EQ(viaLadder.status, viaSplit->status) << scheduler << seed;
+        ASSERT_EQ(viaLadder.schedule.has_value(),
+                  viaSplit->schedule.has_value());
+        if (viaLadder.schedule.has_value()) {
+          EXPECT_EQ(io::scheduleToText(*viaLadder.schedule, scheduler),
+                    io::scheduleToText(*viaSplit->schedule, scheduler))
+              << scheduler << " seed " << seed;
+        }
+        EXPECT_EQ(a.cacheHit, b.cacheHit);
+        EXPECT_EQ(a.revalidated, b.revalidated);
+        EXPECT_EQ(a.warmStarted, b.warmStarted);
+        EXPECT_EQ(a.provenOptimal, b.provenOptimal);
+        EXPECT_EQ(a.nodesExplored, b.nodesExplored);
+        if (b.cacheHit) ++hits;
+      }
+    }
+  }
+  const CacheStats want = composed.stats();
+  const CacheStats got = split.stats();
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.insertions, want.insertions);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.revalidations, want.revalidations);
+  EXPECT_EQ(got.warmStarts, want.warmStarts);
+  EXPECT_EQ(got.hits, hits);
+  // The traffic really exercises every counted rung.
+  EXPECT_GT(got.hits, 0u);
+  EXPECT_GT(got.revalidations, 0u);
+  EXPECT_GT(got.warmStarts, 0u);
+  EXPECT_GT(got.evictions, 0u);
+}
+
 }  // namespace
 }  // namespace paws::cache

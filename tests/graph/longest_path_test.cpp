@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/constraint_graph.hpp"
 
@@ -157,6 +158,45 @@ TEST(LongestPathTest, ZeroWeightCycleIsFeasible) {
   const LongestPathResult& r = engine.compute(TaskId(0));
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.dist[1], r.dist[2]);
+}
+
+TEST(LongestPathTest, ManyImprovingInEdgesAreNotACycle) {
+  // The max-power stage's final graph for a 5-task problem with repeated
+  // and parallel constraints. It is feasible, but the work-list improves
+  // vertex 5 more than |V|+1 times on the way to its fixpoint; that count
+  // alone once read as a positive cycle (with no witness).
+  ConstraintGraph g(6);
+  const struct {
+    std::uint32_t from, to;
+    std::int64_t weight;
+    EdgeKind kind;
+  } edges[] = {
+      {0, 1, 0, EdgeKind::kRelease},   {0, 2, 0, EdgeKind::kRelease},
+      {0, 3, 0, EdgeKind::kRelease},   {0, 4, 0, EdgeKind::kRelease},
+      {0, 5, 0, EdgeKind::kRelease},   {1, 5, 1, EdgeKind::kUserMin},
+      {4, 2, 7, EdgeKind::kUserMin},   {5, 2, 2, EdgeKind::kUserMin},
+      {1, 5, 1, EdgeKind::kUserMin},   {2, 3, 1, EdgeKind::kUserMin},
+      {4, 1, 4, EdgeKind::kUserMin},   {2, 3, 3, EdgeKind::kUserMin},
+      {3, 5, -9, EdgeKind::kUserMax},  {3, 5, -21, EdgeKind::kUserMax},
+      {3, 5, -22, EdgeKind::kUserMax}, {1, 2, 2, EdgeKind::kSerialization},
+      {1, 3, 2, EdgeKind::kSerialization},
+      {2, 3, 4, EdgeKind::kSerialization},
+  };
+  for (const auto& e : edges) {
+    g.addEdge(TaskId(e.from), TaskId(e.to), Duration(e.weight), e.kind);
+  }
+  LongestPathEngine engine(g);
+  const LongestPathResult& r = engine.compute(TaskId(0));
+  ASSERT_TRUE(r.feasible);
+  const std::vector<Time> expected = {Time(0), Time(4), Time(7),
+                                      Time(11), Time(0), Time(5)};
+  EXPECT_EQ(r.dist, expected);
+
+  // A genuine cycle is still reported, with its witness.
+  g.addEdge(TaskId(3), TaskId(1), Duration(0), EdgeKind::kSerialization);
+  const LongestPathResult& cyclic = engine.compute(TaskId(0));
+  EXPECT_FALSE(cyclic.feasible);
+  EXPECT_FALSE(cyclic.cycle.empty());
 }
 
 TEST(LongestPathTest, LargeChainStressAndIncrementalConsistency) {

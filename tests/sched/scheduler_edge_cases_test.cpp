@@ -156,5 +156,39 @@ TEST(SchedulerEdgeCases, ZeroSeparationConstraintsForceSimultaneity) {
   EXPECT_EQ(r.schedule->start(a), r.schedule->start(b));
 }
 
+TEST(SchedulerEdgeCases, RepeatedAndParallelConstraintsDoNotAbortThePipeline) {
+  // Repeated min separations and three parallel max windows on one pair:
+  // the max-power stage's graph is feasible, but the longest-path engine
+  // once read the many improvements of t4 as a positive cycle and the
+  // min-power stage's PAWS_CHECK aborted the request.
+  Problem p("random_seed10169190");
+  p.setMaxPower(5668_mW);
+  p.setMinPower(2834_mW);
+  const ResourceId r0 = p.addResource("r0");
+  p.addResource("r1");
+  const ResourceId r2 = p.addResource("r2");
+  const ResourceId r3 = p.addResource("r3");
+  const TaskId t0 = p.addTask("t0", 2_s, 1291_mW, r0);
+  const TaskId t1 = p.addTask("t1", 4_s, 628_mW, r0);
+  const TaskId t2 = p.addTask("t2", 7_s, 2463_mW, r0);
+  const TaskId t3 = p.addTask("t3", 3_s, 5668_mW, r3);
+  const TaskId t4 = p.addTask("t4", 5_s, 3169_mW, r2);
+  p.minSeparation(t0, t4, Duration(1));
+  p.minSeparation(t3, t1, Duration(7));
+  p.minSeparation(t4, t1, Duration(2));
+  p.minSeparation(t0, t4, Duration(1));
+  p.minSeparation(t1, t2, Duration(1));
+  p.minSeparation(t3, t0, Duration(4));
+  p.minSeparation(t1, t2, Duration(3));
+  p.maxSeparation(t4, t2, Duration(9));
+  p.maxSeparation(t4, t2, Duration(21));
+  p.maxSeparation(t4, t2, Duration(22));
+
+  ScheduleResult r;
+  ASSERT_NO_THROW(r = PowerAwareScheduler(p).schedule());
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_TRUE(ScheduleValidator(p).validate(*r.schedule).valid());
+}
+
 }  // namespace
 }  // namespace paws

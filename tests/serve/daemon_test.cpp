@@ -1,10 +1,14 @@
 // End-to-end daemon tests over real sockets: one process, real TCP/unix
 // transports, the full admission → solve → respond path.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -31,6 +35,87 @@ constexpr const char* kTinyProblem =
     "  precedes a -> b\n"
     "  precedes b -> c\n"
     "}\n";
+
+/// Repeated and parallel constraints whose max-power graph once read as a
+/// positive cycle: the pipeline's CheckError ended the whole daemon.
+constexpr const char* kParallelWindowsProblem =
+    "problem \"random_seed10169190\" {\n"
+    "  pmax 5.668W\n"
+    "  pmin 2.834W\n"
+    "  resource r0\n"
+    "  resource r1\n"
+    "  resource r2\n"
+    "  resource r3\n"
+    "  task t0 { resource r0  delay 2  power 1.291W }\n"
+    "  task t1 { resource r0  delay 4  power 0.628W }\n"
+    "  task t2 { resource r0  delay 7  power 2.463W }\n"
+    "  task t3 { resource r3  delay 3  power 5.668W }\n"
+    "  task t4 { resource r2  delay 5  power 3.169W }\n"
+    "  min t0 -> t4 1\n"
+    "  min t3 -> t1 7\n"
+    "  min t4 -> t1 2\n"
+    "  min t0 -> t4 1\n"
+    "  min t1 -> t2 1\n"
+    "  min t3 -> t0 4\n"
+    "  min t1 -> t2 3\n"
+    "  max t4 -> t2 9\n"
+    "  max t4 -> t2 21\n"
+    "  max t4 -> t2 22\n"
+    "}\n";
+
+/// An exhaustive search that runs for seconds on one solver thread: 14
+/// distinct tasks on their own resources under a tight Pmax.
+std::string slowOptimalProblem(const std::string& name) {
+  std::string text = "problem \"" + name + "\" {\n  pmax 10W\n";
+  for (int i = 0; i < 14; ++i) {
+    text += "  resource r" + std::to_string(i) + "\n";
+  }
+  for (int i = 0; i < 14; ++i) {
+    text += "  task t" + std::to_string(i) + " { resource r" +
+            std::to_string(i) + " delay " + std::to_string(3 + i) +
+            " power " + std::to_string(2 + (i * 7) % 5) + "W }\n";
+  }
+  return text + "}\n";
+}
+
+/// Every sample of one OpenMetrics scrape, by exposition name (counters
+/// carry their `_total` suffix). Empty when the scrape fails.
+std::map<std::string, double> scrape(const std::string& address) {
+  std::map<std::string, double> samples;
+  Client client;
+  std::string body;
+  if (!client.connect(address) || !client.sendMetricsRequest() ||
+      !client.readMetrics(body, 10000)) {
+    ADD_FAILURE() << "metrics scrape failed";
+    return samples;
+  }
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string::npos) continue;
+    samples[line.substr(0, space)] = std::stod(line.substr(space + 1));
+  }
+  return samples;
+}
+
+/// Scrapes until `name` reads `value` (pool counters land just after the
+/// response they belong to); false after ~10 s.
+bool awaitSample(const std::string& address, const std::string& name,
+                 double value) {
+  for (int i = 0; i < 500; ++i) {
+    if (scrape(address)[name] == value) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+
+/// A temp path unique to this process, so parallel suites (e.g. a plain
+/// and a sanitizer build) on one host never share it.
+std::filesystem::path tempPath(const std::string& stem) {
+  return std::filesystem::temp_directory_path() /
+         (stem + "_" + std::to_string(::getpid()));
+}
 
 /// Starts a daemon on an ephemeral port, runs it on a background thread,
 /// drains it (exit code checked) on teardown.
@@ -131,6 +216,109 @@ TEST_F(DaemonFixture, PipelinedRequestsOnOneConnection) {
   EXPECT_TRUE(b.cacheHit);
 }
 
+TEST_F(DaemonFixture, RepeatIsAnsweredInlineWithoutAPoolTask) {
+  boot();
+  const std::string address = daemon->boundAddress();
+  Response cold;
+  ASSERT_TRUE(requestOnce(address, tinyRequest(), cold, 10000));
+  ASSERT_FALSE(cold.cacheHit);
+  ASSERT_TRUE(awaitSample(address, "paws_exec_tasks_run_total", 1));
+  std::map<std::string, double> before = scrape(address);
+
+  Response hit;
+  ASSERT_TRUE(requestOnce(address, tinyRequest(), hit, 10000));
+  EXPECT_EQ(hit.outcome, "ok");
+  EXPECT_TRUE(hit.cacheHit);
+  EXPECT_EQ(hit.scheduleDigest, cold.scheduleDigest);
+  std::map<std::string, double> after = scrape(address);
+  EXPECT_EQ(after["paws_exec_tasks_run_total"],
+            before["paws_exec_tasks_run_total"]);
+  // An inline hit is counted like any served request.
+  for (const char* name :
+       {"paws_serve_accepted_total", "paws_serve_completed_total",
+        "paws_serve_cache_hits_total", "paws_serve_service_time_us_count",
+        "paws_cache_hits_total"}) {
+    EXPECT_EQ(after[name], before[name] + 1) << name;
+  }
+  EXPECT_EQ(after["paws_cache_misses_total"],
+            before["paws_cache_misses_total"]);
+}
+
+TEST_F(DaemonFixture, MissIsCountedOnce) {
+  boot();
+  const std::string address = daemon->boundAddress();
+  std::map<std::string, double> before = scrape(address);
+  Response cold;
+  ASSERT_TRUE(requestOnce(address, tinyRequest(), cold, 10000));
+  ASSERT_EQ(cold.outcome, "ok");
+  EXPECT_FALSE(cold.cacheHit);
+  std::map<std::string, double> after = scrape(address);
+  EXPECT_EQ(after["paws_cache_misses_total"],
+            before["paws_cache_misses_total"] + 1);
+  EXPECT_EQ(after["paws_cache_hits_total"], before["paws_cache_hits_total"]);
+  EXPECT_EQ(after["paws_cache_insertions_total"],
+            before["paws_cache_insertions_total"] + 1);
+}
+
+TEST_F(DaemonFixture, ExactHitIsServedWhileThePoolIsFull) {
+  // One solver, one queue slot, and a ladder that never sheds: only the
+  // admission bound stands between a request and the pool.
+  config.solverThreads = 1;
+  config.maxQueued = 1;
+  config.ladder.degradePermille = 2000;
+  config.ladder.cacheOnlyPermille = 2000;
+  config.ladder.rejectPermille = 2000;
+  config.ladder.p99BudgetMultiple = 0;
+  boot();
+  const std::string address = daemon->boundAddress();
+  Response cold;
+  ASSERT_TRUE(requestOnce(address, tinyRequest(), cold, 10000));
+  ASSERT_EQ(cold.outcome, "ok");
+
+  // Hold the pool: one slow solve running, a second one queued.
+  Client running;
+  Client queued;
+  for (Client* client : {&running, &queued}) {
+    const bool first = client == &running;
+    Request slow;
+    slow.scheduler = "optimal";
+    slow.timeoutMs = 30000;
+    slow.problemText = slowOptimalProblem(first ? "slow_a" : "slow_b");
+    ASSERT_TRUE(client->connect(address));
+    ASSERT_TRUE(client->sendRequest(slow));
+    ASSERT_TRUE(awaitSample(address, "paws_serve_accepted_total",
+                            first ? 2 : 3));
+    ASSERT_TRUE(awaitSample(address, "paws_serve_queue_depth", first ? 0 : 1));
+  }
+
+  Response repeat;
+  ASSERT_TRUE(requestOnce(address, tinyRequest(), repeat, 10000));
+  EXPECT_EQ(repeat.outcome, "ok") << repeat.reason;
+  EXPECT_TRUE(repeat.cacheHit);
+  EXPECT_EQ(repeat.scheduleDigest, cold.scheduleDigest);
+  // The pool was still full: neither slow solve had finished.
+  std::map<std::string, double> after = scrape(address);
+  EXPECT_EQ(after["paws_serve_queue_depth"], 1);
+  EXPECT_EQ(after["paws_serve_completed_total"], 2);
+  running.abortiveClose();
+  queued.abortiveClose();
+}
+
+TEST_F(DaemonFixture, ParallelWindowsProblemIsAnsweredAndTheDaemonStaysUp) {
+  boot();
+  Request request;
+  request.problemText = kParallelWindowsProblem;
+  Response response;
+  ASSERT_TRUE(
+      requestOnce(daemon->boundAddress(), request, response, 10000));
+  EXPECT_EQ(response.outcome, "ok") << response.reason;
+  EXPECT_EQ(response.scheduleDigest, scheduleDigest(response.scheduleText));
+  Response next;
+  ASSERT_TRUE(
+      requestOnce(daemon->boundAddress(), tinyRequest(), next, 10000));
+  EXPECT_EQ(next.outcome, "ok");
+}
+
 TEST_F(DaemonFixture, UnparseableProblemIsStructuredInvalid) {
   boot();
   Request request;
@@ -202,7 +390,7 @@ TEST_F(DaemonFixture, MetricsScrapeIsOpenMetricsWithServeCounters) {
 }
 
 TEST_F(DaemonFixture, ServesOverUnixSocket) {
-  const fs::path sock = fs::temp_directory_path() / "pawsd_test.sock";
+  const fs::path sock = tempPath("pawsd_test.sock");
   fs::remove(sock);
   config.address = "unix:" + sock.string();
   boot();
@@ -219,8 +407,7 @@ TEST_F(DaemonFixture, ServesOverUnixSocket) {
 }
 
 TEST_F(DaemonFixture, DrainFlushesCacheAndASuccessorWarmStartsFromIt) {
-  const fs::path dir =
-      fs::temp_directory_path() / "pawsd_cache_drain_test";
+  const fs::path dir = tempPath("pawsd_cache_drain_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   config.cacheDir = dir.string();
