@@ -42,16 +42,13 @@ bool lexBetter(const Schedule& a, const Schedule& b) {
   return ca < cb || (ca == cb && a.finish() < b.finish());
 }
 
-/// Rebinds a cached schedule onto `problem` (by task name) and checks it
-/// with the independent validator. Any failure — including the
-/// astronomically unlikely 64-bit hash collision — reads as "nothing
-/// usable", never as a wrong answer.
-std::optional<Schedule> rebind(const CacheEntry& entry,
-                               const Problem& problem) {
-  // Fast path: entries produced in this process carry the assignment
-  // pre-split as (name, ticks) pairs — bind by name lookup, no text
-  // parse. Any mismatch (task count, unknown name, duplicate) falls
-  // through to the text parse, which applies its own full checks.
+/// Binds a cached schedule onto `problem` by task name, or nullopt when
+/// the names do not match. Entries produced in this process carry the
+/// assignment pre-split as (name, ticks) pairs: one name lookup per task,
+/// no text parse. Any mismatch there (task count, unknown name,
+/// duplicate) falls through to parsing the text, which applies its own
+/// full checks. Binding does not validate.
+std::optional<Schedule> bind(const CacheEntry& entry, const Problem& problem) {
   if (entry.startsByName.size() == problem.numTasks()) {
     std::vector<Time> starts(problem.numVertices(), Time::zero());
     std::vector<bool> seen(problem.numVertices(), false);
@@ -65,21 +62,28 @@ std::optional<Schedule> rebind(const CacheEntry& entry,
       seen[id->index()] = true;
       starts[id->index()] = Time(ticks);
     }
-    if (ok) {
-      Schedule schedule(&problem, std::move(starts));
-      if (ScheduleValidator(problem).validate(schedule).valid()) {
-        return schedule;
-      }
-      return std::nullopt;
-    }
+    if (ok) return Schedule(&problem, std::move(starts));
   }
   io::ScheduleParseResult parsed =
       io::parseSchedule(entry.scheduleText, problem);
   if (!parsed.ok()) return std::nullopt;
-  if (!ScheduleValidator(problem).validate(*parsed.schedule).valid()) {
+  return std::move(parsed.schedule);
+}
+
+bool isValid(const Problem& problem, const Schedule& schedule) {
+  return ScheduleValidator(problem).validate(schedule).valid();
+}
+
+/// bind() plus the independent validator. Any failure — including the
+/// astronomically unlikely 64-bit hash collision — reads as "nothing
+/// usable", never as a wrong answer.
+std::optional<Schedule> rebind(const CacheEntry& entry,
+                               const Problem& problem) {
+  std::optional<Schedule> schedule = bind(entry, problem);
+  if (schedule.has_value() && !isValid(problem, *schedule)) {
     return std::nullopt;
   }
-  return std::move(parsed.schedule);
+  return schedule;
 }
 
 void insertClean(ScheduleCache& cache, const CacheKey& key,
@@ -199,16 +203,14 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
   if (spec.nearMiss && spec.scheduler == "pipeline") {
     if (std::optional<CacheEntry> candidate =
             cache.lookupStructural(structuralHash, key.optionsFp)) {
-      io::ScheduleParseResult parsed =
-          io::parseSchedule(candidate->scheduleText, problem);
-      if (parsed.ok()) {
+      if (std::optional<Schedule> cached = bind(*candidate, problem)) {
         ScheduleResult served;
-        if (ScheduleValidator(problem).validate(*parsed.schedule).valid()) {
+        if (isValid(problem, *cached)) {
           // Still valid under the new limits: keep the plan, polish the
           // soft objective under the (possibly changed) Pmin with a
           // warm-started min-power improvement pass.
           MinPowerOptions options;
-          options.initialStarts = parsed.schedule->starts();
+          options.initialStarts = cached->starts();
           options.obs = spec.obs;
           options.budget = spec.budget;
           served = MinPowerScheduler(problem, options).schedule();
@@ -219,7 +221,7 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
           // structure carry over.
           RepairInput input;
           input.updated = &problem;
-          input.current = &*parsed.schedule;
+          input.current = &*cached;
           input.now = Time::zero();
           PowerAwareOptions options;
           options.trials = spec.trials;
@@ -227,8 +229,7 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
           options.budget = spec.budget;
           served = repairSchedule(input, options);
         }
-        if (served.ok() &&
-            ScheduleValidator(problem).validate(*served.schedule).valid()) {
+        if (served.ok() && isValid(problem, *served.schedule)) {
           cache.noteRevalidation();
           info.revalidated = true;
           served.message = "revalidated from schedule cache (near miss)";
@@ -269,9 +270,7 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
       SolveInfo ignored;
       pipelineResult = runCold(problem, seedSpec, std::nullopt, ignored);
       if (pipelineResult.ok() &&
-          ScheduleValidator(problem)
-              .validate(*pipelineResult.schedule)
-              .valid()) {
+          isValid(problem, *pipelineResult.schedule)) {
         heuristic = *pipelineResult.schedule;
         insertClean(cache, pipelineKey, structuralHash, problem, "pipeline",
                     pipelineResult, /*nodesExplored=*/0,
@@ -285,7 +284,7 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
     // the seed, the more of the search's improvement ladder is pruned.
     if (ScheduleResult serial = SerialScheduler(problem).schedule();
         serial.ok() && serial.schedule->finish() <= horizon &&
-        ScheduleValidator(problem).validate(*serial.schedule).valid()) {
+        isValid(problem, *serial.schedule)) {
       if (!heuristic.has_value() || lexBetter(*serial.schedule, *heuristic)) {
         heuristic = *serial.schedule;
       }
@@ -294,8 +293,7 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
       PolishOptions polishOptions;
       polishOptions.horizon = horizon;
       Schedule polished = polishSchedule(problem, *heuristic, polishOptions);
-      if (polished.finish() <= horizon &&
-          ScheduleValidator(problem).validate(polished).valid() &&
+      if (polished.finish() <= horizon && isValid(problem, polished) &&
           !lexBetter(*heuristic, polished)) {
         heuristic = std::move(polished);
       }
@@ -308,10 +306,16 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
 
   ScheduleResult r = runCold(problem, spec, seed, info);
 
-  // Insert only clean, fully-solved results: no budget/deadline trips
+  // One validator run decides both the insert and the answer: a schedule
+  // the validator rejects (the list baseline ignores max separations) is
+  // never inserted, and the caller learns not to ship it. Beyond that,
+  // insert only clean, fully-solved results: no budget/deadline trips
   // (those are anytime answers a fresh run would beat) and, for the
   // optimality oracle, only proven-optimal verdicts.
-  const bool clean = r.ok() && info.stopReason == guard::StopReason::kNone &&
+  info.validationFailed =
+      r.schedule.has_value() && !isValid(problem, *r.schedule);
+  const bool clean = r.ok() && !info.validationFailed &&
+                     info.stopReason == guard::StopReason::kNone &&
                      (spec.scheduler != "optimal" || info.provenOptimal);
   if (clean) {
     insertClean(cache, key, structuralHash, problem, spec.scheduler, r,

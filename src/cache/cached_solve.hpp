@@ -8,14 +8,16 @@
 //      hash collision must cost a miss, never a wrong answer) and serve.
 //      Byte-identical to the solve that produced the entry, microseconds.
 //   2. near-miss  — pipeline only: an entry with the same structural
-//      skeleton but different limits / task costs. Rebind and validate
-//      under the NEW problem; when still valid, polish with a MinPower
-//      improvement pass warm-started from it (gap filling under the new
-//      Pmin); when invalid, rebuild from it via repairSchedule. Either
-//      way the served schedule is validator-checked against the querying
-//      problem. Counted as cache.revalidations. Results are heuristic-
-//      grade like the pipeline itself, but orders of magnitude cheaper
-//      than a cold solve on near-duplicate traffic.
+//      skeleton but different limits / task costs. Bind it by task name
+//      (the binder rung 1 uses) and validate under the NEW problem; when
+//      still valid, polish with a MinPower improvement pass warm-started
+//      from it (gap filling under the new Pmin, each resource's tasks
+//      kept in their cached order); when invalid, rebuild from it via
+//      repairSchedule. Either way the served schedule is validator-
+//      checked against the querying problem. Counted as
+//      cache.revalidations. Results are heuristic-grade like the pipeline
+//      itself, but orders of magnitude cheaper than a cold solve on
+//      near-duplicate traffic.
 //   3. warm start — optimal only: a cold exhaustive solve is seeded with
 //      `ExhaustiveOptions::{initialIncumbent, initialIncumbentFinish}`
 //      from the lex-best of the pipeline heuristic (or a cached pipeline
@@ -32,10 +34,13 @@
 // rungs 2-4 from one full canonicalization without probing rung 1 again.
 // solveThroughCache is exactly their composition.
 //
-// Clean, fully-solved results (status kOk, no budget/deadline trip, and
-// for `optimal` a proven-optimal verdict) are inserted back. With
-// `cache == nullptr` the function degrades to the plain dispatch and is
-// behavior-identical to the historical pawsc runScheduler path.
+// A cold result's schedule is run through the validator once; a schedule
+// it rejects is never inserted, and SolveInfo::validationFailed says so.
+// Clean, fully-solved results (status kOk, validator-clean, no
+// budget/deadline trip, and for `optimal` a proven-optimal verdict) are
+// inserted back. With `cache == nullptr` the function degrades to the
+// plain dispatch and is behavior-identical to the historical pawsc
+// runScheduler path.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +82,11 @@ struct SolveInfo {
   guard::StopReason stopReason = guard::StopReason::kNone;
   /// Nodes the cold optimal solve explored (0 for serves).
   std::uint64_t nodesExplored = 0;
+  /// The cold solve returned a schedule the validator rejects (e.g. a
+  /// `list` answer that breaks a max separation): not inserted, and not
+  /// an answer to ship as valid. Set by solveMiss; the cache-less dispatch
+  /// does not validate and leaves it false.
+  bool validationFailed = false;
   [[nodiscard]] bool servedFromCache() const {
     return cacheHit || revalidated;
   }

@@ -102,9 +102,12 @@ void Pool::workerLoop(std::size_t self) {
   std::function<void()> task;
   for (;;) {
     if (tryPop(self, task)) {
+      // Counted before it runs: a task publishes its result from inside
+      // task(), and whoever has seen that result must read a count that
+      // already includes it.
+      tasksRun_.fetch_add(1, std::memory_order_relaxed);
       task();
       task = nullptr;
-      tasksRun_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     std::unique_lock<std::mutex> lk(idleMu_);

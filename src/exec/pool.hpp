@@ -26,7 +26,8 @@
 //
 // The pool is instrumented for the paws::obs registry via exportMetrics():
 //   exec.pool_threads   (gauge)   worker count
-//   exec.tasks_run      (counter) tasks executed by workers
+//   exec.tasks_run      (counter) tasks taken by workers (counted as a
+//                                 worker takes one, before it runs)
 //   exec.tasks_stolen   (counter) tasks taken from another worker's deque
 //   exec.tasks_rejected (counter) trySubmit() refusals at the queue bound
 #pragma once

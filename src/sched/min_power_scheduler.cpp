@@ -1,6 +1,8 @@
 #include "sched/min_power_scheduler.hpp"
 
 #include <algorithm>
+#include <span>
+#include <tuple>
 
 #include "base/check.hpp"
 #include "graph/longest_path.hpp"
@@ -47,6 +49,32 @@ SlotHeuristic rotateSlot(SlotHeuristic h) {
   return SlotHeuristic::kStartAtGap;
 }
 
+/// Adds one serialization edge u -> v (weight: u's delay) between each
+/// pair of consecutive same-resource tasks, ordered by (start, finish) in
+/// `starts`. A zero-delay task sharing a start with a longer one goes
+/// first, so a resource-valid `starts` satisfies every edge, and an
+/// overlap violates one.
+void serializeInStartOrder(const Problem& problem,
+                           const std::vector<Time>& starts,
+                           ConstraintGraph& graph) {
+  const std::span<const ResourceId> resources = problem.taskResources();
+  const std::span<const Duration> delays = problem.taskDelays();
+  std::vector<TaskId> order = problem.taskIds();
+  std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    const std::size_t i = a.index();
+    const std::size_t j = b.index();
+    return std::tie(resources[i], starts[i], delays[i], i) <
+           std::tie(resources[j], starts[j], delays[j], j);
+  });
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const std::size_t prev = order[k - 1].index();
+    if (resources[prev] == resources[order[k].index()]) {
+      graph.addEdge(order[k - 1], order[k], delays[prev],
+                    EdgeKind::kSerialization);
+    }
+  }
+}
+
 }  // namespace
 
 MinPowerScheduler::MinPowerScheduler(const Problem& problem,
@@ -62,8 +90,11 @@ ScheduleResult MinPowerScheduler::schedule() {
   // MinPowerOptions::initialStarts). The vector is pinned into the graph
   // as anchor->v delay edges: for a timing-feasible start vector the
   // longest-path ASAP solution then equals the vector exactly, which is
-  // the invariant improve() builds its slack evaluation on. Any validation
-  // failure falls through to the cold pipeline.
+  // the invariant improve() builds its slack evaluation on. Like the
+  // timing stage, the graph also serializes each resource's tasks, here in
+  // their given start order, so slacks and moves keep resource
+  // exclusivity. Any validation failure (a resource overlap included)
+  // falls through to the cold pipeline.
   if (options_.initialStarts.has_value()) {
     const std::vector<Time>& starts = *options_.initialStarts;
     if (starts.size() == problem_.numVertices() && !starts.empty() &&
@@ -73,6 +104,7 @@ ScheduleResult MinPowerScheduler::schedule() {
         graph.addEdge(kAnchorTask, v, starts[v.index()] - Time::zero(),
                       EdgeKind::kDelay);
       }
+      serializeInStartOrder(problem_, starts, graph);
       LongestPathEngine probe(graph);
       const LongestPathResult& lp = probe.compute(kAnchorTask);
       bool pinned = lp.feasible;

@@ -98,9 +98,12 @@ struct MinPowerOptions {
   /// When set, MinPowerScheduler::schedule() skips the timing + max-power
   /// stages entirely and runs only the gap-filling improvement from these
   /// starts, pinned into the constraint graph as anchor->v delay edges so
-  /// the graph's ASAP solution equals the vector exactly. An infeasible,
-  /// mis-sized or power-invalid vector is ignored (the full cold pipeline
-  /// runs instead) — a stale warm start can cost time, never correctness.
+  /// the graph's ASAP solution equals the vector exactly. The graph also
+  /// serializes each resource's tasks in their given start order, so the
+  /// improvement keeps that order (as the timing stage's serialization
+  /// does on a cold run). An infeasible, mis-sized, power-invalid or
+  /// resource-overlapping vector is ignored (the full cold pipeline runs
+  /// instead) — a stale warm start can cost time, never correctness.
   /// Used by the cache near-miss path (cache/cached_solve.cpp) to polish a
   /// revalidated schedule under changed Pmin instead of re-solving.
   std::optional<std::vector<Time>> initialStarts;

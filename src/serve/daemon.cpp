@@ -401,17 +401,26 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
   // not cut a connection that still owes its client an answer.
   const auto answer = [&](const ScheduleResult& result,
                           const cache::SolveInfo& info) {
-    response.outcome = outcomeOf(result.status, result.schedule.has_value());
-    response.reason = result.status == SchedStatus::kDeadlineExceeded &&
-                              conn.cancel.cancelled()
-                          ? "cancelled"
-                          : (result.status == SchedStatus::kOk
-                                 ? ""
-                                 : toString(result.status));
+    // A schedule the validator rejected is no answer: never `ok`, never
+    // shipped (pawsc exits 3 on the same solve).
+    const bool shipSchedule =
+        result.schedule.has_value() && !info.validationFailed;
+    if (info.validationFailed) {
+      response.outcome = "infeasible";
+      response.reason = "validation_failed";
+    } else {
+      response.outcome = outcomeOf(result.status, shipSchedule);
+      response.reason = result.status == SchedStatus::kDeadlineExceeded &&
+                                conn.cancel.cancelled()
+                            ? "cancelled"
+                            : (result.status == SchedStatus::kOk
+                                   ? ""
+                                   : toString(result.status));
+    }
     response.mode = toString(mode);
     response.degraded = degraded;
     response.cacheHit = info.servedFromCache();
-    if (result.schedule.has_value()) {
+    if (shipSchedule) {
       const Schedule& s = *result.schedule;
       response.finishTicks = s.finish().ticks();
       response.energyCostMwt = s.energyCost(prob.minPower()).milliwattTicks();

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "base/units.hpp"
 #include "cache/cached_solve.hpp"
@@ -273,6 +274,85 @@ TEST(CachedSolveTest, NearMissRepairsWhenTheCachedPlanTurnedInvalid) {
   EXPECT_TRUE(ScheduleValidator(longer).validate(*r.schedule).valid());
 }
 
+/// Near-miss deltas of `base`: three new Pmin values and three Pmax
+/// raises of up to 10% (the sched suite's WarmStartPolishTest uses the
+/// same ones).
+std::vector<Problem> limitVariants(const Problem& base) {
+  std::vector<Problem> variants;
+  const std::int64_t pmax = base.maxPower().milliwatts();
+  for (const std::int64_t permille : {300, 400, 700}) {
+    variants.push_back(base);
+    variants.back().setMinPower(Watts::fromMilliwatts(pmax * permille / 1000));
+  }
+  for (const std::int64_t permille : {1020, 1050, 1100}) {
+    variants.push_back(base);
+    variants.back().setMaxPower(Watts::fromMilliwatts(pmax * permille / 1000));
+  }
+  return variants;
+}
+
+TEST(CachedSolveTest, NearMissRevalidatesEveryStillValidVariant) {
+  // A variant the cached pipeline schedule still satisfies must be served
+  // by rung 2: the warm-started polish keeps each resource's task order,
+  // so it never hands the validator an overlap that forces a cold solve.
+  std::uint64_t stillValid = 0;
+  std::uint64_t revalidations = 0;
+  for (std::uint32_t seed = 1; seed <= 64; ++seed) {
+    GeneratorConfig config;
+    config.seed = seed;
+    config.numTasks = 8 + seed % 9;
+    config.numResources = 2 + seed % 3;
+    const Problem base = generateRandomProblem(config).problem;
+    SolveSpec spec;  // pipeline
+    ScheduleCache warm;
+    const ScheduleResult cached = solveThroughCache(&warm, base, spec);
+    if (!cached.ok()) continue;
+    const CacheKey baseKey = exactKey(base, spec);
+    const CacheEntry entry = *warm.peek(baseKey);
+    for (const Problem& variant : limitVariants(base)) {
+      if (!ScheduleValidator(variant).validate(*cached.schedule).valid()) {
+        continue;
+      }
+      ++stillValid;
+      ScheduleCache cache;  // holds exactly the base's entry
+      cache.insert(baseKey, entry);
+      SolveInfo info;
+      const ScheduleResult r = solveThroughCache(&cache, variant, spec, &info);
+      ASSERT_TRUE(r.ok()) << "seed " << seed;
+      EXPECT_TRUE(info.revalidated) << "seed " << seed;
+      revalidations += cache.stats().revalidations;
+    }
+  }
+  EXPECT_GE(stillValid, 300u) << "the pipeline must solve most seeds";
+  EXPECT_EQ(revalidations, stillValid);
+}
+
+TEST(CachedSolveTest, ListAnswerFailingValidationIsNeverInserted) {
+  // paws::gen seed 3 (7 tasks, 2 resources): the list baseline ignores
+  // max separations and answers kOk with a schedule that breaks one. The
+  // miss's validator run keeps it out of the cache, so a repeat is a plain
+  // miss, not a hit that fails rebind and is re-solved and re-inserted.
+  GeneratorConfig config;
+  config.seed = 3;
+  config.numTasks = 7;
+  config.numResources = 2;
+  const Problem problem = generateRandomProblem(config).problem;
+  SolveSpec spec;
+  spec.scheduler = "list";
+  ScheduleCache cache;
+  for (int request = 0; request < 2; ++request) {
+    SolveInfo info;
+    const ScheduleResult r = solveThroughCache(&cache, problem, spec, &info);
+    ASSERT_TRUE(r.ok());  // the baseline's own verdict
+    EXPECT_FALSE(ScheduleValidator(problem).validate(*r.schedule).valid());
+    EXPECT_TRUE(info.validationFailed);
+    EXPECT_FALSE(info.cacheHit);
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
+}
+
 TEST(CachedSolveTest, HashCollisionServesAMissNotAWrongAnswer) {
   // Force the pathological case by inserting an entry whose schedule text
   // cannot rebind to the querying problem under the right key: the resolver
@@ -334,6 +414,7 @@ TEST(CachedSolveTest, SplitRungsMatchTheComposedLadder) {
         EXPECT_EQ(a.warmStarted, b.warmStarted);
         EXPECT_EQ(a.provenOptimal, b.provenOptimal);
         EXPECT_EQ(a.nodesExplored, b.nodesExplored);
+        EXPECT_EQ(a.validationFailed, b.validationFailed);
         if (b.cacheHit) ++hits;
       }
     }

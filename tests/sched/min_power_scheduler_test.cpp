@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "gen/random_problem.hpp"
 #include "model/paper_example.hpp"
 #include "sched/power_aware_scheduler.hpp"
 #include "validate/validator.hpp"
@@ -159,6 +163,77 @@ TEST(PowerAwareSchedulerTest, FailurePropagatesDiagnostics) {
   const ScheduleResult r = scheduler.schedule();
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.message.empty());
+}
+
+/// Near-miss deltas of `base`, as the cache's rung 2 meets them: three new
+/// Pmin values and three Pmax raises of up to 10%. None can invalidate a
+/// schedule that was valid for `base`.
+std::vector<Problem> limitVariants(const Problem& base) {
+  std::vector<Problem> variants;
+  const std::int64_t pmax = base.maxPower().milliwatts();
+  for (const std::int64_t permille : {300, 400, 700}) {
+    variants.push_back(base);
+    variants.back().setMinPower(Watts::fromMilliwatts(pmax * permille / 1000));
+  }
+  for (const std::int64_t permille : {1020, 1050, 1100}) {
+    variants.push_back(base);
+    variants.back().setMaxPower(Watts::fromMilliwatts(pmax * permille / 1000));
+  }
+  return variants;
+}
+
+TEST(WarmStartPolishTest, KeepsResourceOrderAndNeverRaisesTheCost) {
+  // A warm-started polish moves tasks within their slack on a graph that
+  // serializes each resource in the given start order: every result is
+  // validator-clean (no resource overlap) and no costlier than its input.
+  std::size_t polishes = 0;
+  for (std::uint32_t seed = 1; seed <= 64; ++seed) {
+    GeneratorConfig config;
+    config.seed = seed;
+    config.numTasks = 8 + seed % 9;
+    config.numResources = 2 + seed % 3;
+    const Problem base = generateRandomProblem(config).problem;
+    const ScheduleResult cold = PowerAwareScheduler(base).schedule();
+    if (!cold.ok()) continue;
+    for (const Problem& variant : limitVariants(base)) {
+      const Schedule input(&variant, cold.schedule->starts());
+      ASSERT_TRUE(ScheduleValidator(variant).validate(input).valid());
+      MinPowerOptions options;
+      options.initialStarts = input.starts();
+      const ScheduleResult r = MinPowerScheduler(variant, options).schedule();
+      ASSERT_TRUE(r.ok()) << "seed " << seed << ": " << r.message;
+      const ValidationReport report =
+          ScheduleValidator(variant).validate(*r.schedule);
+      EXPECT_TRUE(report.valid()) << "seed " << seed << ": "
+                                  << report.summary();
+      EXPECT_LE(r.schedule->energyCost(variant.minPower()),
+                input.energyCost(variant.minPower()))
+          << "seed " << seed;
+      ++polishes;
+    }
+  }
+  EXPECT_GE(polishes, 300u) << "the pipeline must solve most seeds";
+}
+
+TEST(WarmStartPolishTest, ResourceOverlapFallsBackToTheColdPipeline) {
+  // Timing- and power-valid, but a and b share r1 during [1, 2): the pin
+  // probe sees the serialization edge a -> b and the cold pipeline runs.
+  Problem p("overlap");
+  const ResourceId r1 = p.addResource("r1");
+  p.addTask("a", 2_s, 2_W, r1);
+  const TaskId b = p.addTask("b", 2_s, 2_W, r1);
+  p.setMaxPower(10_W);
+  p.setMinPower(3_W);
+  std::vector<Time> starts(p.numVertices(), Time::zero());
+  starts[b.index()] = Time(1);
+  const ScheduleResult cold = MinPowerScheduler(p).schedule();
+  ASSERT_TRUE(cold.ok());
+  MinPowerOptions options;
+  options.initialStarts = starts;
+  const ScheduleResult r = MinPowerScheduler(p, options).schedule();
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.schedule->starts(), cold.schedule->starts());
+  EXPECT_TRUE(ScheduleValidator(p).validate(*r.schedule).valid());
 }
 
 }  // namespace

@@ -63,6 +63,36 @@ constexpr const char* kParallelWindowsProblem =
     "  max t4 -> t2 22\n"
     "}\n";
 
+/// paws::gen seed 3 (7 tasks, 2 resources): the list baseline ignores max
+/// separations and answers it kOk with a schedule that breaks one.
+constexpr const char* kListBreaksAMaxSeparationProblem =
+    "problem \"random_seed3\" {\n"
+    "  pmax 13.339W\n"
+    "  pmin 6.669W\n"
+    "  resource r0\n"
+    "  resource r1\n"
+    "  task t0 { resource r1  delay 7  power 1.052W }\n"
+    "  task t1 { resource r0  delay 8  power 7.793W }\n"
+    "  task t2 { resource r1  delay 1  power 5.546W }\n"
+    "  task t3 { resource r1  delay 10  power 6.81W }\n"
+    "  task t4 { resource r0  delay 6  power 4.925W }\n"
+    "  task t5 { resource r0  delay 10  power 3.506W }\n"
+    "  task t6 { resource r0  delay 1  power 2.538W }\n"
+    "  min t1 -> t4 5\n"
+    "  min t3 -> t5 3\n"
+    "  min t2 -> t6 11\n"
+    "  min t1 -> t2 4\n"
+    "  min t0 -> t5 21\n"
+    "  min t1 -> t6 28\n"
+    "  min t3 -> t4 2\n"
+    "  min t0 -> t1 2\n"
+    "  min t1 -> t6 29\n"
+    "  max t0 -> t6 49\n"
+    "  max t0 -> t2 29\n"
+    "  max t3 -> t6 29\n"
+    "  max t4 -> t6 40\n"
+    "}\n";
+
 /// An exhaustive search that runs for seconds on one solver thread: 14
 /// distinct tasks on their own resources under a tight Pmax.
 std::string slowOptimalProblem(const std::string& name) {
@@ -316,6 +346,31 @@ TEST_F(DaemonFixture, ParallelWindowsProblemIsAnsweredAndTheDaemonStaysUp) {
   Response next;
   ASSERT_TRUE(
       requestOnce(daemon->boundAddress(), tinyRequest(), next, 10000));
+  EXPECT_EQ(next.outcome, "ok");
+}
+
+TEST_F(DaemonFixture, ListAnswerFailingValidationIsInfeasibleNotOk) {
+  // pawsc exits 3 ("validation failed") on this solve; pawsd must not
+  // call it ok, ship it, or cache it — the repeat is solved again.
+  boot();
+  const std::string address = daemon->boundAddress();
+  Request request;
+  request.scheduler = "list";
+  request.problemText = kListBreaksAMaxSeparationProblem;
+  for (int i = 0; i < 2; ++i) {
+    Response response;
+    ASSERT_TRUE(requestOnce(address, request, response, 10000));
+    EXPECT_EQ(response.outcome, "infeasible");
+    EXPECT_EQ(response.reason, "validation_failed");
+    EXPECT_TRUE(response.scheduleText.empty());
+    EXPECT_FALSE(response.cacheHit);
+  }
+  std::map<std::string, double> metrics = scrape(address);
+  EXPECT_EQ(metrics["paws_cache_hits_total"], 0);
+  EXPECT_EQ(metrics["paws_cache_misses_total"], 2);
+  EXPECT_EQ(metrics["paws_cache_insertions_total"], 0);
+  Response next;
+  ASSERT_TRUE(requestOnce(address, tinyRequest(), next, 10000));
   EXPECT_EQ(next.outcome, "ok");
 }
 
