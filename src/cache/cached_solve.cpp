@@ -6,6 +6,7 @@
 #include "cache/canonical.hpp"
 #include "exec/jobs.hpp"
 #include "io/schedule_io.hpp"
+#include "obs/phase_timer.hpp"
 #include "sched/exhaustive_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/min_power_scheduler.hpp"
@@ -249,6 +250,9 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
   // byte-identical while pruning from node 0.
   std::optional<WarmSeed> seed;
   if (spec.warmStart && spec.scheduler == "optimal") {
+    // One span over the whole seed (rebind or pipeline run, serial run,
+    // polish), so a miss's seed time reads apart from the search's.
+    obs::PhaseTimer seedTimer(spec.obs, "warm-seed");
     const Time horizon = defaultHorizon(problem);
     const CacheKey pipelineKey{key.problemHash,
                                optionsFingerprint("pipeline", spec.trials)};

@@ -125,45 +125,13 @@ class ProfileEngine {
   /// contributions. O(n).
   [[nodiscard]] PowerProfile snapshot() const;
 
-  /// One step of the two-stream 64-bit mix used for profile fingerprints
-  /// (FNV-1a-style streams with distinct constants; 128 bits total so
-  /// accidental collisions are out of reach for any realistic search).
-  static constexpr void mixHash(std::uint64_t& h1, std::uint64_t& h2,
-                                std::uint64_t x) {
-    h1 = (h1 ^ x) * 0x100000001b3ULL;
-    h2 = (h2 ^ (x + 0x9e3779b97f4a7c15ULL)) * 0xc2b2ae3d27d4eb4fULL;
-  }
-
-  /// Mixes the *merged-segment* view of the profile — finish, then each
-  /// (begin, level) pair with equal-level neighbours coalesced — into the
-  /// two hash streams. Hashing the merged view (rather than the raw
-  /// breakpoint map, which may hold equal-level neighbours between
-  /// coalesce opportunities) makes the fingerprint a pure function of the
-  /// profile *as a function of time*, so it matches a fingerprint computed
-  /// from a freshly built PowerProfile of the same contributions. The
-  /// exhaustive search's dominance table depends on that equality to make
-  /// identical pruning decisions in incremental and rebuild modes.
-  void mixState(std::uint64_t& h1, std::uint64_t& h2) const {
-    mixHash(h1, h2, static_cast<std::uint64_t>(finish_.ticks()));
-    bool first = true;
-    Watts prev = Watts::zero();
-    for (const auto& [begin, level] : level_) {
-      if (!first && level == prev) continue;
-      first = false;
-      prev = level;
-      mixHash(h1, h2, static_cast<std::uint64_t>(begin.ticks()));
-      mixHash(h1, h2, static_cast<std::uint64_t>(level.milliwatts()));
-    }
-  }
-
   // ----- trail-aligned checkpoint / restore ----------------------------
   //
   // Same contract as LongestPathEngine: open a frame before tentative
   // mutations, restore() to undo them exactly (LIFO), release() to keep
   // them. Frames nest; rebuild()/clear() are forbidden while any frame is
   // open (the log could not replay across them). Mutations outside any
-  // open frame are not logged — the exhaustive search's push/pop pattern
-  // pays zero logging cost.
+  // open frame are not logged.
 
   struct Checkpoint {
     std::size_t undoSize = 0;

@@ -16,8 +16,7 @@
 #include "graph/longest_path.hpp"
 #include "obs/incumbents.hpp"
 #include "obs/metrics.hpp"
-#include "power/profile.hpp"
-#include "power/profile_engine.hpp"
+#include "power/prefix_profile.hpp"
 
 namespace paws {
 
@@ -230,20 +229,6 @@ struct SigHash {
 /// and the search stays deterministic.
 constexpr std::size_t kMaxDominanceEntries = std::size_t(1) << 20;
 
-/// Mirrors ProfileEngine::mixState on an immutable profile (segments are
-/// already merged), so legacy-mode signatures equal incremental-mode ones
-/// and both modes make identical dominance decisions.
-void mixProfile(const PowerProfile& p, std::uint64_t& h1, std::uint64_t& h2) {
-  power::ProfileEngine::mixHash(h1, h2,
-                                static_cast<std::uint64_t>(p.finish().ticks()));
-  for (const PowerSegment& s : p.segments()) {
-    power::ProfileEngine::mixHash(
-        h1, h2, static_cast<std::uint64_t>(s.interval.begin().ticks()));
-    power::ProfileEngine::mixHash(
-        h1, h2, static_cast<std::uint64_t>(s.power.milliwatts()));
-  }
-}
-
 /// State shared by every worker of one search. The cost bound only ever
 /// holds costs of *achieved* valid leaves, so it is always >= the optimal
 /// cost and the strictly-greater prefix pruning can never cut a leaf tying
@@ -272,7 +257,6 @@ struct SearchShared {
   // Aggregated per-worker profile effort (flushed once per worker, not per
   // node — the dfs hot loop stays atomic-free).
   std::atomic<std::uint64_t> profileUpdates{0};
-  std::atomic<std::uint64_t> profileRebuilds{0};
   // Aggregated pruning counters, flushed per worker like the profile ones.
   std::atomic<std::uint64_t> prunedDominance{0};
   std::atomic<std::uint64_t> prunedSymmetry{0};
@@ -317,21 +301,18 @@ void mergeBest(LocalBest& acc, LocalBest&& lb) {
 class Worker {
  public:
   Worker(const Problem& problem, const std::vector<std::vector<Pair>>& touching,
-         Time horizon, SearchShared& shared, bool incremental,
-         const PruneConfig& prune, const guard::RunBudget& budget)
+         Time horizon, SearchShared& shared, const PruneConfig& prune,
+         const guard::RunBudget& budget)
       : problem_(problem),
         touching_(touching),
         horizon_(horizon),
         shared_(shared),
-        pmin_(problem.minPower()),
-        pmax_(problem.maxPower()),
-        incremental_(incremental),
         prune_(prune),
         // Each worker strides its own clock reads: one steady_clock::now()
         // per 1024 expanded nodes keeps deadline latency ~microseconds at
         // search speed while the clean-path overhead stays a branch.
         guard_(budget, 1024),
-        engine_(problem.backgroundPower(), problem.minPower(),
+        prefix_(problem.backgroundPower(), problem.minPower(),
                 problem.maxPower()),
         delays_(problem.taskDelays()),
         powers_(problem.taskPowers()),
@@ -340,11 +321,8 @@ class Worker {
 
   ~Worker() {
     // Flush this worker's profile effort into the shared aggregates.
-    shared_.profileUpdates.fetch_add(engine_.incrementalUpdates() +
-                                         legacyUpdates_,
+    shared_.profileUpdates.fetch_add(profileUpdates_,
                                      std::memory_order_relaxed);
-    shared_.profileRebuilds.fetch_add(engine_.rebuilds() + legacyRebuilds_,
-                                      std::memory_order_relaxed);
     shared_.prunedDominance.fetch_add(prunedDominance_,
                                       std::memory_order_relaxed);
     shared_.prunedSymmetry.fetch_add(prunedSymmetry_,
@@ -401,18 +379,14 @@ class Worker {
   const std::vector<std::vector<Pair>>& touching_;
   const Time horizon_;
   SearchShared& shared_;
-  const Watts pmin_;
-  const Watts pmax_;
-  const bool incremental_;
   const PruneConfig prune_;
   guard::RunGuard guard_;
-  power::ProfileEngine engine_;  // placed-prefix profile (incremental mode)
+  power::PrefixProfile prefix_;  // profile of the placed tasks 1..k
   std::span<const Duration> delays_;
   std::span<const Watts> powers_;
   std::span<const ResourceId> resources_;
   std::unordered_set<Sig, SigHash> tt_;  // dominance transposition table
-  std::uint64_t legacyUpdates_ = 0;
-  std::uint64_t legacyRebuilds_ = 0;
+  std::uint64_t profileUpdates_ = 0;
   std::uint64_t prunedDominance_ = 0;
   std::uint64_t prunedSymmetry_ = 0;
   std::uint64_t prunedBound_ = 0;
@@ -455,12 +429,12 @@ bool Worker::costBoundPrunes(std::size_t k, std::int64_t aboveMwt,
 
 Sig Worker::frontierSig(std::size_t k) const {
   Sig s{0xcbf29ce484222325ULL, 0x9e3779b97f4a7c15ULL};
-  power::ProfileEngine::mixHash(s.a, s.b, static_cast<std::uint64_t>(k));
+  power::PrefixProfile::mixHash(s.a, s.b, static_cast<std::uint64_t>(k));
   const PruneTables& tb = *prune_.tables;
   for (std::size_t i = 1; i <= k; ++i) {
     if (tb.lastDependent[i] <= k) continue;
-    power::ProfileEngine::mixHash(s.a, s.b, static_cast<std::uint64_t>(i));
-    power::ProfileEngine::mixHash(
+    power::PrefixProfile::mixHash(s.a, s.b, static_cast<std::uint64_t>(i));
+    power::PrefixProfile::mixHash(
         s.a, s.b, static_cast<std::uint64_t>(starts_[i].ticks()));
   }
   return s;
@@ -484,7 +458,6 @@ void Worker::dfs(std::size_t k) {
     leaf();
     return;
   }
-  const TaskId v(static_cast<std::uint32_t>(k));
   const Duration delay = delays_[k];
   const Watts power = powers_[k];
   const ResourceId resource = resources_[k];
@@ -553,76 +526,40 @@ void Worker::dfs(std::size_t k) {
     }
     if (violated) continue;
 
-    // Monotone power prunings on the placed prefix. Incremental mode keeps
-    // the prefix profile alive in the engine — one addTask per placement,
-    // one removeTask per backtrack, O(log k + touched segments) each — and
-    // reads both pruning quantities from cached aggregates. The final
-    // profile dominates the prefix pointwise (tasks only add power, and
-    // the final span only extends the background), so the prefix's energy
-    // above pmin lower-bounds the final energy cost.
-    if (incremental_) {
-      engine_.addTask(v, placed, power);
-      bool pruned = engine_.firstSpike().has_value();
-      if (!pruned) {
-        pruned = costBoundPrunes(k, engine_.energyAbove().milliwattTicks(),
-                                 engine_.finish());
-      }
-      if (!pruned && prune_.dominance && k + 1 < n) {
-        Sig sig = frontierSig(k);
-        engine_.mixState(sig.a, sig.b);
-        pruned = dominated(sig);
-      }
-      if (pruned) {
-        engine_.removeTask(v);
-        continue;
-      }
-      dfs(k + 1);
-      engine_.removeTask(v);
-      if (shared_.stopped()) return;
-      continue;
+    // Monotone power prunings on the placed prefix: the placement pushes
+    // task k onto the prefix profile (one pass over the segments its window
+    // touches) and the backtrack pops it. The final profile dominates the
+    // prefix pointwise (tasks only add power, and the final span only
+    // extends the background), so the prefix's energy above pmin
+    // lower-bounds the final energy cost.
+    prefix_.push(placed, power);
+    profileUpdates_ += 2;  // the placement and its backtrack
+    bool pruned = prefix_.hasSpike();
+    if (!pruned) {
+      pruned = costBoundPrunes(k, prefix_.energyAbove().milliwattTicks(),
+                               prefix_.finish());
     }
-
-    const PowerProfile prefix = [&] {
-      PowerProfileBuilder b;
-      for (std::size_t i = 1; i <= k; ++i) {
-        b.add(Interval(starts_[i], starts_[i] + delays_[i]), powers_[i]);
-      }
-      return b.build(problem_.backgroundPower());
-    }();
-    ++legacyRebuilds_;
-    if (prefix.firstSpike(pmax_)) continue;
-    if (costBoundPrunes(k, prefix.energyAbove(pmin_).milliwattTicks(),
-                        prefix.finish())) {
-      continue;
-    }
-    if (prune_.dominance && k + 1 < n) {
+    if (!pruned && prune_.dominance && k + 1 < n) {
       Sig sig = frontierSig(k);
-      mixProfile(prefix, sig.a, sig.b);
-      if (dominated(sig)) continue;
+      prefix_.mixInto(sig.a, sig.b);
+      pruned = dominated(sig);
     }
-
+    if (pruned) {
+      prefix_.pop();
+      continue;
+    }
     dfs(k + 1);
+    prefix_.pop();
     if (shared_.stopped()) return;
   }
 }
 
 void Worker::leaf() {
-  Energy cost;
-  Time finish;
-  if (incremental_) {
-    // The engine holds every task's contribution here (k == n), i.e.
-    // exactly profileOf(problem_, starts_) — all leaf quantities are
-    // cached aggregates.
-    if (engine_.firstSpike().has_value()) return;
-    cost = engine_.energyAbove();
-    finish = engine_.finish();
-  } else {
-    const PowerProfile profile = profileOf(problem_, starts_);
-    ++legacyRebuilds_;
-    if (profile.firstSpike(pmax_)) return;
-    cost = profile.energyAbove(pmin_);
-    finish = finishOf(problem_, starts_);
-  }
+  // The prefix holds every task's contribution here (k == n), i.e.
+  // exactly profileOf(problem_, starts_).
+  if (prefix_.hasSpike()) return;
+  const Energy cost = prefix_.energyAbove();
+  const Time finish = prefix_.finish();
   if (!best_.have || cost < best_.cost ||
       (cost == best_.cost && finish < best_.finish)) {
     best_.starts = starts_;
@@ -716,8 +653,7 @@ ScheduleResult ExhaustiveScheduler::schedule() {
   LocalBest best;
   if (jobs <= 1 || numT1 < 2) {
     // Serial: one worker over the whole range, on the calling thread.
-    Worker w(problem_, touching, horizon, shared, options_.incrementalProfile,
-             prune, budget);
+    Worker w(problem_, touching, horizon, shared, prune, budget);
     if (seedLocal) {
       w.seedIncumbent(*options_.initialIncumbent,
                       *options_.initialIncumbentFinish);
@@ -740,8 +676,7 @@ ScheduleResult ExhaustiveScheduler::schedule() {
                   static_cast<std::int64_t>(numChunks) -
               1;
           const Problem clone = problem_;  // worker-private scratch
-          Worker w(clone, touching, horizon, shared,
-                   options_.incrementalProfile, prune, budget);
+          Worker w(clone, touching, horizon, shared, prune, budget);
           if (seedLocal) {
             w.seedIncumbent(*options_.initialIncumbent,
                             *options_.initialIncumbentFinish);
@@ -781,9 +716,9 @@ ScheduleResult ExhaustiveScheduler::schedule() {
     options_.obs.metrics->add(
         "profile.incremental_updates",
         shared.profileUpdates.load(std::memory_order_relaxed));
-    options_.obs.metrics->add(
-        "profile.rebuilds",
-        shared.profileRebuilds.load(std::memory_order_relaxed));
+    // The prefix profile is never rebuilt; the key stays so run reports
+    // keep their shape.
+    options_.obs.metrics->add("profile.rebuilds", 0);
     if (stop == kStopDeadline) {
       options_.obs.metrics->add("guard.deadline_trips", 1);
     } else if (stop == kStopCancelled) {

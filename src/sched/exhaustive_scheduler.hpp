@@ -24,10 +24,13 @@
 // Each pruning only discards subtrees that cannot contain the leaf the
 // unpruned search would return, so the result — including tie-breaks — is
 // byte-identical to the unpruned search for any flag combination.
-// Leaves are verified with the independent ScheduleValidator. The search
-// is exhaustive within the horizon, so the returned schedule minimizes
-// (energy cost at Pmin, finish time) lexicographically among all valid
-// schedules that fit the horizon.
+// The placed prefix's power profile is a power::PrefixProfile: a placement
+// pushes the task's contribution, a backtrack pops it.
+// The search is exhaustive within the horizon, so the returned schedule
+// minimizes (energy cost at Pmin, finish time) lexicographically among all
+// valid schedules that fit the horizon. The search itself never runs the
+// independent ScheduleValidator: cache::solveMiss validates each cold
+// result once, and `pawsc schedule` validates the schedule it prints.
 //
 // Parallel mode (`jobs` > 1) splits the top-level choice — task 1's start
 // time — into contiguous ranges searched by independent workers on a
@@ -60,11 +63,6 @@ struct ExhaustiveOptions {
   /// the calling thread, 0 resolves via PAWS_JOBS / hardware_concurrency
   /// (exec::resolveJobs). Any value yields bit-identical schedules.
   std::size_t jobs = 1;
-  /// Maintain each worker's placed-prefix profile as a power::ProfileEngine
-  /// (one addTask per placement, one removeTask per backtrack) instead of
-  /// rebuilding it at every node. Bit-identical search; the flag keeps the
-  /// rebuild path alive for the equivalence tests.
-  bool incrementalProfile = true;
   /// Dominance pruning: each worker keeps a transposition table keyed on a
   /// canonical signature of the search state (depth, merged placed-prefix
   /// power profile, and the start times of placed tasks that can still

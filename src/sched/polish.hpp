@@ -53,7 +53,8 @@ struct PolishStats {
 /// Pmin, finish). Returns a schedule that is never lex-worse than the
 /// input. The input must be valid (timing + resources + Pmax) and finish
 /// within `options.horizon`; starts outside the horizon make the task's
-/// current slot its only candidate.
+/// current slot its only candidate. An input that breaks a constraint, a
+/// resource or Pmax is returned unchanged, with zero stats.
 Schedule polishSchedule(const Problem& problem, const Schedule& start,
                         const PolishOptions& options,
                         PolishStats* stats = nullptr);

@@ -23,6 +23,7 @@
 #include "gen/random_problem.hpp"
 #include "io/schedule_io.hpp"
 #include "model/paper_example.hpp"
+#include "obs/metrics.hpp"
 #include "sched/exhaustive_scheduler.hpp"
 #include "sched/polish.hpp"
 #include "sched/power_aware_scheduler.hpp"
@@ -215,6 +216,26 @@ TEST(CachedSolveTest, OptimalSolveWarmStartsThenHits) {
   EXPECT_TRUE(second.provenOptimal);
   EXPECT_EQ(io::scheduleToText(*b.schedule, "x"),
             io::scheduleToText(*a.schedule, "x"));
+}
+
+TEST(CachedSolveTest, OptimalMissRecordsOneWarmSeedSpan) {
+  ScheduleCache cache;
+  const GeneratedProblem gp = generateRandomProblem(smallConfig(7));
+  obs::MetricsRegistry missMetrics;
+  SolveSpec spec;
+  spec.scheduler = "optimal";
+  spec.obs.metrics = &missMetrics;
+  SolveInfo miss;
+  ASSERT_TRUE(solveThroughCache(&cache, gp.problem, spec, &miss).ok());
+  ASSERT_TRUE(miss.warmStarted);
+  EXPECT_EQ(missMetrics.histogram("phase.warm-seed.wall_us").count, 1u);
+
+  obs::MetricsRegistry hitMetrics;
+  spec.obs.metrics = &hitMetrics;
+  SolveInfo hit;
+  ASSERT_TRUE(solveThroughCache(&cache, gp.problem, spec, &hit).ok());
+  ASSERT_TRUE(hit.cacheHit);
+  EXPECT_EQ(hitMetrics.histogram("phase.warm-seed.wall_us").count, 0u);
 }
 
 TEST(CachedSolveTest, NearMissRevalidatesOnALimitsDelta) {

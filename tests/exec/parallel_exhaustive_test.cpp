@@ -41,11 +41,9 @@ struct Outcome {
   bool operator==(const Outcome&) const = default;
 };
 
-Outcome runWithJobs(const Problem& problem, std::size_t jobs,
-                    bool incrementalProfile = true) {
+Outcome runWithJobs(const Problem& problem, std::size_t jobs) {
   ExhaustiveOptions options;
   options.jobs = jobs;
-  options.incrementalProfile = incrementalProfile;
   ExhaustiveScheduler scheduler(problem, options);
   const ScheduleResult r = scheduler.schedule();
   Outcome o;
@@ -86,20 +84,48 @@ TEST(ParallelExhaustiveTest, LargerInstancesStayDeterministic) {
 }
 
 TEST(ParallelExhaustiveTest, IncrementalPrefixProfileIsDeterministic) {
-  // The incremental prefix ProfileEngine must not disturb the parallel
-  // determinism contract: for jobs in {1, 2, 8}, with the engine on or
-  // off, every run returns byte-identical schedules, costs and flags.
-  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+  // The per-depth prefix-profile frames must not disturb the parallel
+  // determinism contract. Goldens recorded with the former ProfileEngine
+  // prefix path: the serial winner, node and bound-cut counts, and the
+  // same winner at jobs 2 and 8.
+  struct Golden {
+    std::uint32_t seed;
+    std::vector<std::int64_t> starts;  // anchor first
+    std::uint64_t nodes;
+    std::uint64_t prunedBound;
+  };
+  const std::vector<Golden> goldens = {
+      {1, {0, 0, 2, 3, 7, 8}, 2877, 2345},
+      {2, {0, 0, 4, 1, 9, 5}, 6070, 4660},
+      {3, {0, 0, 3, 7, 8, 12}, 8623, 5847},
+      {4, {0, 8, 0, 2, 6, 12}, 25192, 21241},
+      {5, {0, 0, 4, 6, 7, 8}, 12090, 5239},
+      {6, {0, 0, 7, 3, 8, 11}, 21792, 12188},
+      {7, {0, 0, 4, 7, 11, 2}, 1479, 1146},
+      {8, {0, 0, 4, 6, 7, 11}, 4804, 3389},
+  };
+  for (const Golden& g : goldens) {
     const GeneratedProblem gp =
-        generateRandomProblem(smallConfig(seed, /*numTasks=*/5));
-    const Outcome reference =
-        runWithJobs(gp.problem, 1, /*incrementalProfile=*/false);
-    ASSERT_TRUE(reference.provenOptimal) << "seed " << seed;
-    for (const std::size_t jobs : {1u, 2u, 8u}) {
-      const Outcome incremental =
-          runWithJobs(gp.problem, jobs, /*incrementalProfile=*/true);
-      EXPECT_EQ(incremental, reference) << "seed " << seed << " jobs "
-                                        << jobs;
+        generateRandomProblem(smallConfig(g.seed, /*numTasks=*/5));
+    std::vector<Time> want;
+    for (const std::int64_t t : g.starts) want.push_back(Time(t));
+
+    ExhaustiveOptions options;
+    ExhaustiveScheduler serial(gp.problem, options);
+    const ScheduleResult r = serial.schedule();
+    ASSERT_EQ(r.status, SchedStatus::kOk) << "seed " << g.seed;
+    ASSERT_TRUE(r.schedule.has_value()) << "seed " << g.seed;
+    EXPECT_EQ(r.schedule->starts(), want) << "seed " << g.seed;
+    EXPECT_EQ(serial.outcome().nodesExplored, g.nodes) << "seed " << g.seed;
+    EXPECT_EQ(serial.outcome().prunedBound, g.prunedBound)
+        << "seed " << g.seed;
+    ASSERT_TRUE(serial.outcome().provenOptimal) << "seed " << g.seed;
+
+    const Outcome reference = runWithJobs(gp.problem, 1);
+    for (const std::size_t jobs : {2u, 8u}) {
+      const Outcome parallel = runWithJobs(gp.problem, jobs);
+      EXPECT_EQ(parallel.starts, want) << "seed " << g.seed << " jobs " << jobs;
+      EXPECT_EQ(parallel, reference) << "seed " << g.seed << " jobs " << jobs;
     }
   }
 }
