@@ -24,31 +24,6 @@ std::uint32_t nextRand(std::uint32_t& state) {
   return state = x;
 }
 
-/// One O(V) stabbing scan over a raw assignment: the tasks active at t (in
-/// increasing id order, like ProfileEngine::activeAt) and the instantaneous
-/// power they draw. This is the legacy fallback behind
-/// MaxPowerOptions::incrementalProfile == false — the hot path reads both
-/// answers from the engine's active-interval index instead.
-struct ActiveScan {
-  std::vector<TaskId> tasks;
-  Watts power;
-};
-
-ActiveScan scanActiveAt(const Problem& problem, const std::vector<Time>& starts,
-                        Time t) {
-  ActiveScan out;
-  out.power = problem.backgroundPower();
-  for (std::size_t i = 1; i < problem.numVertices(); ++i) {
-    const TaskId v(static_cast<std::uint32_t>(i));
-    const Task& task = problem.task(v);
-    if (starts[i] <= t && t < starts[i] + task.delay) {
-      out.tasks.push_back(v);
-      out.power += task.power;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 MaxPowerScheduler::MaxPowerScheduler(const Problem& problem,
@@ -157,7 +132,6 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
 
   const Watts pmax = problem_.maxPower();
   const Time spikeHorizon(options_.ignoreSpikesBeforeTick);
-  const bool incremental = options_.incrementalProfile;
 
   // The attempt's live profile: seeded once from the timing-valid starts,
   // then kept in sync with moveTask deltas as victims are delayed and
@@ -169,7 +143,7 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
   // scheduler-wide profile.* totals on every exit path.
   power::ProfileEngine pe(problem_.backgroundPower(), problem_.minPower(),
                           pmax);
-  if (incremental) pe.rebuild(problem_, starts);
+  pe.rebuild(problem_, starts);
   struct CounterFlush {
     MaxPowerScheduler& self;
     power::ProfileEngine& pe;
@@ -192,14 +166,7 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
                              : "deadline exceeded during spike elimination";
       return a;
     }
-    std::optional<Time> spikeAt;
-    if (incremental) {
-      spikeAt = pe.firstSpike(spikeHorizon);
-    } else {
-      const PowerProfile profile = profileOf(problem_, starts);
-      ++profileRebuilds_;
-      spikeAt = profile.firstSpike(pmax, spikeHorizon);
-    }
+    const std::optional<Time> spikeAt = pe.firstSpike(spikeHorizon);
     if (!spikeAt) {
       a.result.status = SchedStatus::kOk;
       a.result.schedule = Schedule(&problem_, starts);
@@ -221,7 +188,7 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
     // needs no retiming; delays beyond the victim's slack flag the
     // reschedule case. ---
     const std::vector<Duration> slacks = computeSlacks(graph, starts);
-    std::vector<Time> localStarts = starts;
+    std::vector<Time> localStarts = starts;  // the profile's start times
     while (true) {
       if (guard_.poll() != guard::StopReason::kNone) {
         decisions_.resize(savedDecisions);
@@ -233,17 +200,9 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
                                : "deadline exceeded during spike elimination";
         return a;
       }
-      std::vector<TaskId> active;
-      if (incremental) {
-        if (pe.valueAt(t) <= pmax) break;
-        active = pe.activeAt(t);
-      } else {
-        ActiveScan scan = scanActiveAt(problem_, localStarts, t);
-        if (scan.power <= pmax) break;
-        active = std::move(scan.tasks);
-      }
+      if (pe.valueAt(t) <= pmax) break;
       std::vector<TaskId> victims;
-      for (TaskId v : active) {
+      for (TaskId v : pe.activeAt(t)) {
         if (!delayedThisRound[v.index()]) victims.push_back(v);
       }
       if (victims.empty()) {
@@ -299,7 +258,7 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
       delayedThisRound[v.index()] = true;
       applyDecision(graph, d);
       localStarts[v.index()] = d.at;
-      if (incremental) pe.moveTask(v, d.at);
+      pe.moveTask(v, d.at);
     }
 
     if (!reschedule) {
@@ -308,13 +267,11 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
       ++stats.longestPathRuns;
       if (lp.feasible) {
         engine.release(engineMark);  // delay edges are being kept
-        if (incremental) {
-          // Sync the profile to the propagated start times with deltas for
-          // only the tasks the longest-path run actually moved.
-          for (std::size_t i = 1; i < lp.dist.size(); ++i) {
-            if (lp.dist[i] != localStarts[i]) {
-              pe.moveTask(TaskId(static_cast<std::uint32_t>(i)), lp.dist[i]);
-            }
+        // Sync the profile to the propagated start times with deltas for
+        // only the tasks the longest-path run actually moved.
+        for (std::size_t i = 1; i < lp.dist.size(); ++i) {
+          if (lp.dist[i] != localStarts[i]) {
+            pe.moveTask(TaskId(static_cast<std::uint32_t>(i)), lp.dist[i]);
           }
         }
         starts = lp.dist;
@@ -333,10 +290,7 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
     // scheduler on the amended graph; on failure undo the locks, delay one
     // more simultaneous task, and try again (Section 5.2). ---
     std::vector<TaskId> remaining;
-    const std::vector<TaskId> stillActive =
-        incremental ? pe.activeAt(t)
-                    : scanActiveAt(problem_, localStarts, t).tasks;
-    for (TaskId v : stillActive) {
+    for (TaskId v : pe.activeAt(t)) {
       if (!delayedThisRound[v.index()]) remaining.push_back(v);
     }
 

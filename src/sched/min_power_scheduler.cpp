@@ -75,6 +75,15 @@ void serializeInStartOrder(const Problem& problem,
   }
 }
 
+/// One longest-path probe: true when `graph` is feasible and its ASAP
+/// solution equals `starts` exactly.
+bool pinsExactly(const ConstraintGraph& graph,
+                 const std::vector<Time>& starts) {
+  LongestPathEngine probe(graph);
+  const LongestPathResult& lp = probe.compute(kAnchorTask);
+  return lp.feasible && lp.dist == starts;
+}
+
 }  // namespace
 
 MinPowerScheduler::MinPowerScheduler(const Problem& problem,
@@ -82,6 +91,12 @@ MinPowerScheduler::MinPowerScheduler(const Problem& problem,
     : problem_(problem), options_(options) {}
 
 ScheduleResult MinPowerScheduler::schedule() {
+  MaxPowerScheduler::Detailed staged = stages();
+  if (!staged.result.ok()) return std::move(staged.result);
+  return improve(*staged.graph, *staged.result.schedule, staged.result.stats);
+}
+
+MaxPowerScheduler::Detailed MinPowerScheduler::stages() {
   // Pin the deadline before the first stage runs; every nested stage then
   // inherits the same absolute time point.
   options_.budget = options_.budget.resolved();
@@ -105,29 +120,26 @@ ScheduleResult MinPowerScheduler::schedule() {
                       EdgeKind::kDelay);
       }
       serializeInStartOrder(problem_, starts, graph);
-      LongestPathEngine probe(graph);
-      const LongestPathResult& lp = probe.compute(kAnchorTask);
-      bool pinned = lp.feasible;
-      for (std::size_t i = 0; pinned && i < starts.size(); ++i) {
-        pinned = lp.dist[i] == starts[i];
-      }
-      if (pinned && !profileOf(problem_, starts)
-                         .firstSpike(problem_.maxPower())
-                         .has_value()) {
-        SchedulerStats stats;
-        stats.longestPathRuns = 1;  // the pinning probe above
-        return improve(graph, Schedule(&problem_, starts), stats);
+      if (pinsExactly(graph, starts) &&
+          !profileOf(problem_, starts)
+               .firstSpike(problem_.maxPower())
+               .has_value()) {
+        MaxPowerScheduler::Detailed out;
+        out.result.status = SchedStatus::kOk;
+        out.result.schedule = Schedule(&problem_, starts);
+        out.result.stats.longestPathRuns = 1;  // the pinning probe
+        out.graph = std::move(graph);
+        return out;
       }
     }
   }
   MaxPowerOptions maxOptions = options_.maxPower;
   maxOptions.obs.inheritFrom(options_.obs);
   maxOptions.budget.inheritFrom(options_.budget);
-  MaxPowerScheduler maxPower(problem_, maxOptions);
-  MaxPowerScheduler::Detailed det = maxPower.scheduleDetailed();
-  if (!det.result.ok()) return std::move(det.result);
-  PAWS_CHECK(det.graph.has_value());
-  return improve(*det.graph, *det.result.schedule, det.result.stats);
+  MaxPowerScheduler::Detailed det =
+      MaxPowerScheduler(problem_, maxOptions).scheduleDetailed();
+  PAWS_CHECK(!det.result.ok() || det.graph.has_value());
+  return det;
 }
 
 ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
@@ -143,33 +155,21 @@ ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
   std::uint32_t rng = options_.randomSeed == 0 ? 1 : options_.randomSeed;
 
   const Time spikeHorizon(options_.maxPower.ignoreSpikesBeforeTick);
-  const bool incremental = options_.incrementalProfile;
 
   // The live profile. Candidate gap-filling moves are evaluated by
   // checkpointing the engine, applying moveTask deltas for only the tasks
   // the longest-path run moved, reading spike/utilization from cached
-  // aggregates, and restoring on reject — the full profileOf rebuild per
-  // candidate survives only behind incrementalProfile == false.
+  // aggregates, and restoring on reject.
   power::ProfileEngine pe(problem_.backgroundPower(), pmin, pmax);
-  PowerProfile profile;  // legacy-mode mirror of the live profile
-  double rho;
-  if (incremental) {
-    pe.rebuild(problem_, starts);
-    PAWS_CHECK_MSG(!pe.firstSpike(spikeHorizon),
-                   "improve() requires a power-valid input schedule");
-    rho = pe.utilization();
-  } else {
-    profile = profileOf(problem_, starts);
-    PAWS_CHECK_MSG(!profile.firstSpike(pmax, spikeHorizon),
-                   "improve() requires a power-valid input schedule");
-    rho = profile.utilization(pmin);
-  }
+  pe.rebuild(problem_, starts);
+  PAWS_CHECK_MSG(!pe.firstSpike(spikeHorizon),
+                 "improve() requires a power-valid input schedule");
+  double rho = pe.utilization();
   // Anytime curve: the schedule handed to improve() is the first
   // incumbent; every accepted move below lowers Ec and appends a point.
   const auto recordIncumbent = [&] {
     if (options_.obs.incumbents == nullptr) return;
-    const Energy ec = incremental ? pe.energyAbove() : profile.energyAbove(pmin);
-    options_.obs.incumbents->record(ec.milliwattTicks());
+    options_.obs.incumbents->record(pe.energyAbove().milliwattTicks());
   };
   recordIncumbent();
 
@@ -201,7 +201,7 @@ ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
 
     while (rescan && rho < 1.0 && !tripped) {
       rescan = false;
-      std::vector<Interval> gaps = incremental ? pe.gaps() : profile.gaps(pmin);
+      std::vector<Interval> gaps = pe.gaps();
       // Slacks depend only on the graph and starts, which change solely on
       // accepted moves — and those set rescan and break back here. One
       // computation covers every gap of this scan.
@@ -221,8 +221,7 @@ ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
 
       for (const Interval& gap : gaps) {
         const Time t = gap.begin();
-        const Watts atT = incremental ? pe.valueAt(t) : profile.valueAt(t);
-        if (atT >= pmin) continue;  // stale after a move
+        if (pe.valueAt(t) >= pmin) continue;  // stale after a move
 
         // Candidates: tasks that completed before t but can be delayed,
         // within their slack, far enough to be active at t.
@@ -291,32 +290,17 @@ ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
           // only the tasks the propagation actually shifted (usually v and
           // a handful of successors), read the verdict from the cached
           // aggregates, and keep or undo the frame with the graph trail.
-          power::ProfileEngine::Checkpoint pcp;
-          PowerProfile newProfile;
-          bool powerValid;
-          double newRho;
-          if (incremental) {
-            pcp = pe.checkpoint();
-            for (std::size_t i = 1; i < lp.dist.size(); ++i) {
-              if (lp.dist[i] != starts[i]) {
-                pe.moveTask(TaskId(static_cast<std::uint32_t>(i)),
-                            lp.dist[i]);
-              }
+          const power::ProfileEngine::Checkpoint pcp = pe.checkpoint();
+          for (std::size_t i = 1; i < lp.dist.size(); ++i) {
+            if (lp.dist[i] != starts[i]) {
+              pe.moveTask(TaskId(static_cast<std::uint32_t>(i)), lp.dist[i]);
             }
-            powerValid = !pe.firstSpike(spikeHorizon).has_value();
-            newRho = pe.utilization();
-          } else {
-            newProfile = profileOf(problem_, lp.dist);
-            powerValid = !newProfile.firstSpike(pmax, spikeHorizon).has_value();
-            newRho = newProfile.utilization(pmin);
           }
+          const bool powerValid = !pe.firstSpike(spikeHorizon).has_value();
+          const double newRho = pe.utilization();
           if (powerValid && newRho > rho) {
             engine.release(ecp);  // the delay edge is being kept
-            if (incremental) {
-              pe.release(pcp);
-            } else {
-              profile = std::move(newProfile);
-            }
+            pe.release(pcp);
             starts = lp.dist;
             rho = newRho;
             recordIncumbent();
@@ -335,7 +319,7 @@ ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
                              static_cast<std::int64_t>(newRho * 1e6), pass);
           graph.rollbackTo(cp);
           engine.restore(ecp);
-          if (incremental) pe.restore(pcp);
+          pe.restore(pcp);
         }
         if (rescan || tripped) break;
       }

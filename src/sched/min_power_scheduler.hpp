@@ -34,12 +34,20 @@ class MinPowerScheduler {
   explicit MinPowerScheduler(const Problem& problem,
                              MinPowerOptions options = {});
 
-  /// Full pipeline: timing -> max power -> min power.
+  /// Full pipeline: stages(), then improve() on their graph.
   ScheduleResult schedule();
 
+  /// The stages before improvement: the initialStarts pin when it holds,
+  /// otherwise timing -> max power. On success `result` holds the valid
+  /// schedule and the stages' stats, and `graph` its decorated constraint
+  /// graph (serialization + decisions); on failure `graph` is empty.
+  MaxPowerScheduler::Detailed stages();
+
   /// Improvement stage only: polishes an existing valid schedule whose
-  /// decorated graph (serialization + decisions) is `graph`. Returns the
-  /// improved result; `graph` accumulates the accepted delay edges.
+  /// decorated graph (serialization + decisions) is `graph`, starting the
+  /// stats from `stats`. Returns the improved result; `graph` accumulates
+  /// the accepted delay edges (a caller that reuses the graph rolls them
+  /// back to a checkpoint taken before the call).
   ScheduleResult improve(ConstraintGraph& graph, const Schedule& valid,
                          SchedulerStats stats = {});
 

@@ -49,6 +49,8 @@ struct TimingOptions {
   /// giving up. The default covers every problem in the paper by orders of
   /// magnitude while bounding pathological searches.
   std::uint64_t maxBacktracks = 100000;
+  /// Read only under CandidateOrder::kRandom (PowerAwareScheduler relies
+  /// on this to share one timing run between its trials).
   std::uint32_t randomSeed = 1;
   /// Observability hooks (borrowed; see obs/context.hpp). Outer pipeline
   /// stages propagate their own context into unset nested contexts.
@@ -71,12 +73,8 @@ struct MaxPowerOptions {
   std::uint32_t maxRecursionDepth = 64;
   /// Total delay decisions before giving up.
   std::uint64_t maxDelays = 100000;
+  /// Read only under VictimOrder::kRandom (see TimingOptions::randomSeed).
   std::uint32_t randomSeed = 1;
-  /// Evaluate spikes/victims through the incremental power::ProfileEngine
-  /// instead of rebuilding a PowerProfile per round. Same schedules either
-  /// way (the equivalence tests pin this); the flag exists so those tests
-  /// can run the legacy rebuild path.
-  bool incrementalProfile = true;
   obs::ObsContext obs;
   /// See TimingOptions::budget; propagated into `timing.budget`.
   guard::RunBudget budget;
@@ -108,10 +106,6 @@ struct MinPowerOptions {
   /// revalidated schedule under changed Pmin instead of re-solving.
   std::optional<std::vector<Time>> initialStarts;
   std::uint32_t randomSeed = 1;
-  /// Evaluate candidate gap-filling moves with power::ProfileEngine deltas
-  /// (checkpoint / moveTask / restore) instead of a full profile rebuild
-  /// per candidate. Byte-identical results; see MaxPowerOptions.
-  bool incrementalProfile = true;
   obs::ObsContext obs;
   /// See TimingOptions::budget; propagated into `maxPower.budget`.
   guard::RunBudget budget;

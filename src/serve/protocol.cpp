@@ -6,6 +6,7 @@
 
 #include "base/hash.hpp"
 #include "obs/json.hpp"
+#include "sched/power_aware_scheduler.hpp"
 
 namespace paws::serve {
 
@@ -98,7 +99,8 @@ ParseRequestResult parseRequest(std::string_view payload) {
       req.timeoutMs = ms;
     } else if (key == "trials") {
       std::int64_t n = 0;
-      if (!parseInt64(value, n) || n < 1 || n > 64) {
+      if (!parseInt64(value, n) || n < 1 ||
+          n > PowerAwareOptions::kMaxTrials) {
         return failRequest("bad_trials");
       }
       req.trials = static_cast<std::uint32_t>(n);

@@ -68,6 +68,7 @@
 //      backtrack budget); partial/anytime results may still be printed
 //   5  internal error (uncaught exception)
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -147,12 +148,19 @@ int exitForStatus(SchedStatus status) {
   return kExitInternal;
 }
 
+/// A whole decimal integer, nothing else (no blanks, no trailing text).
+bool parseWhole(const char* text, std::int64_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: pawsc <command> [options]\n"
                "  check    <file.paws>\n"
                "  schedule <file.paws> [more.paws ...] [--scheduler "
-               "pipeline|serial|list|optimal] [--trials N]\n"
+               "pipeline|serial|list|optimal] [--trials 1..64]\n"
                "           [--jobs N]  (threads; 0 = PAWS_JOBS or cores; "
                "several files run concurrently)\n"
                "           [--gantt] [--svg out.svg] [--csv out.csv]\n"
@@ -1268,9 +1276,21 @@ int runCli(int argc, char** argv) {
     } else if (arg == "--scheduler") {
       scheduler = value("--scheduler");
     } else if (arg == "--trials") {
-      trials = static_cast<std::uint32_t>(std::atoi(value("--trials")));
+      std::int64_t n = 0;
+      if (!parseWhole(value("--trials"), n) || n < 1 ||
+          n > PowerAwareOptions::kMaxTrials) {
+        std::fprintf(stderr, "--trials takes 1..%u\n",
+                     PowerAwareOptions::kMaxTrials);
+        return kExitUsage;
+      }
+      trials = static_cast<std::uint32_t>(n);
     } else if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::atoll(value("--jobs")));
+      std::int64_t n = 0;
+      if (!parseWhole(value("--jobs"), n) || n < 0) {
+        std::fprintf(stderr, "--jobs takes a whole number >= 0\n");
+        return kExitUsage;
+      }
+      jobs = static_cast<std::size_t>(n);
     } else if (arg == "--gantt") {
       exports.gantt = true;
     } else if (arg == "--breakdown") {
