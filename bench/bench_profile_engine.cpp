@@ -1,11 +1,12 @@
 // Incremental ProfileEngine vs PowerProfileBuilder full rebuild
 // (methodology bench, no paper table): the cost of answering the scheduler
-// inner-loop question — "move one task; any spike? what is Ec and rho
-// now?" — via moveTask deltas on the live engine against re-running the
-// event-sort rebuild per probe, swept over task count. Also measures the
-// exhaustive search's push/pop pattern (addTask + aggregate reads +
-// removeTask) and checkpointed candidate evaluation (checkpoint, move,
-// read, restore), the MinPower inner loop's exact shape.
+// inner-loop question — "change one task; any spike? what is Ec and rho
+// now?" — on the live engine's flat segment list, where each mutation
+// rebuilds only the window it touches, against re-running the event-sort
+// rebuild per probe, swept over task count. Measures one task taken out
+// and put back (removeTask + aggregate reads + addTask) and checkpointed
+// candidate evaluation (checkpoint, move, read, restore), the MinPower
+// inner loop's exact shape.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -62,10 +63,10 @@ void BM_ProfileRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileRebuild)->Arg(8)->Arg(16)->Arg(64)->Arg(256);
 
-/// The same evaluation as engine deltas — the exhaustive search's per-node
-/// pattern: one contribution delta in, read the cached spike/cost
-/// aggregates, one delta out on backtrack. This is the headline
-/// incremental-vs-rebuild comparison (same queries as BM_ProfileRebuild).
+/// The same evaluation as engine updates: take one task's contribution
+/// out, read the cached cost, put it back, read the spike cursor — two
+/// window rebuilds per probe. This is the headline incremental-vs-rebuild
+/// comparison (same queries as BM_ProfileRebuild).
 void BM_ProfileEngine(benchmark::State& state) {
   const Instance inst = makeInstance(static_cast<std::size_t>(state.range(0)));
   const Problem& problem = inst.gp.problem;
@@ -86,9 +87,8 @@ void BM_ProfileEngine(benchmark::State& state) {
 BENCHMARK(BM_ProfileEngine)->Arg(8)->Arg(16)->Arg(64)->Arg(256);
 
 /// MinPower's candidate-evaluation shape: checkpoint, moveTask, read
-/// spike + utilization, restore (the undo log replays the move's
-/// inverses). Costlier than the push/pop pattern — four contribution
-/// deltas per probe instead of two — but still sublinear in task count.
+/// spike + utilization, restore (one window rebuild over the hull of the
+/// old and new intervals; the restore splices the saved stretch back).
 void BM_ProfileEngineCheckpointProbe(benchmark::State& state) {
   const Instance inst = makeInstance(static_cast<std::size_t>(state.range(0)));
   const Problem& problem = inst.gp.problem;

@@ -145,6 +145,11 @@ ScheduleResult runCold(const Problem& problem, const SolveSpec& spec,
 
 }  // namespace
 
+bool knownScheduler(std::string_view name) {
+  return name == "pipeline" || name == "serial" || name == "list" ||
+         name == "optimal";
+}
+
 ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
                                  const SolveSpec& spec, SolveInfo* infoOut) {
   if (cache == nullptr) {
@@ -201,7 +206,7 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
   // Rung 2: near-miss revalidation — pipeline only. Serving a structurally
   // matching but numerically different entry is a heuristic answer, which
   // is exactly the pipeline's contract and exactly wrong for `optimal`.
-  if (spec.nearMiss && spec.scheduler == "pipeline") {
+  if (spec.scheduler == "pipeline") {
     if (std::optional<CacheEntry> candidate =
             cache.lookupStructural(structuralHash, key.optionsFp)) {
       if (std::optional<Schedule> cached = bind(*candidate, problem)) {
@@ -249,7 +254,7 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
   // is valid and fits the search horizon, so seeding keeps the result
   // byte-identical while pruning from node 0.
   std::optional<WarmSeed> seed;
-  if (spec.warmStart && spec.scheduler == "optimal") {
+  if (spec.scheduler == "optimal") {
     // One span over the whole seed (rebind or pipeline run, serial run,
     // polish), so a miss's seed time reads apart from the search's.
     obs::PhaseTimer seedTimer(spec.obs, "warm-seed");

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "cache/schedule_cache.hpp"
 #include "guard/budget.hpp"
@@ -63,13 +64,13 @@ struct SolveSpec {
   /// Worker threads for the exhaustive search (already resolved; 0 is
   /// passed through to exec::resolveJobs).
   std::size_t jobs = 1;
-  /// Seed cold exhaustive solves from the pipeline heuristic (rung 3).
-  bool warmStart = true;
-  /// Serve structural hits through revalidation/repair (rung 2).
-  bool nearMiss = true;
   obs::ObsContext obs;
   guard::RunBudget budget;
 };
+
+/// True for the four SolveSpec::scheduler names. pawsc and pawsd refuse
+/// any other name before solving.
+[[nodiscard]] bool knownScheduler(std::string_view name);
 
 /// How the result was produced — pawsc reporting reads this.
 struct SolveInfo {

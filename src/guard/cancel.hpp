@@ -8,9 +8,10 @@
 // clean path pays exactly one null check per poll.
 //
 // Cancellation is strictly cooperative: nothing is interrupted mid-
-// mutation. Every scheduler unwinds through its existing trail /
-// ProfileEngine restore machinery before returning, so a cancelled run
-// leaves its graph and profile exactly as consistent as a failed one.
+// mutation. Every scheduler unwinds through its existing trail and the
+// checkpoint/restore of its one flat power profile (power::ProfileEngine)
+// before returning, so a cancelled run leaves its graph and profile
+// exactly as consistent as a failed one.
 #pragma once
 
 #include <atomic>

@@ -60,25 +60,6 @@ PowerProfile PowerProfileBuilder::build(Watts background) const {
   return profile;
 }
 
-PowerProfile PowerProfile::fromSegments(std::vector<PowerSegment> segments,
-                                        Time finish) {
-  PowerProfile profile;
-  profile.finish_ = finish;
-  Time cursor = Time::zero();
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const PowerSegment& s = segments[i];
-    PAWS_CHECK_MSG(s.interval.begin() == cursor && !s.interval.empty(),
-                   "fromSegments: segments must be contiguous from 0");
-    PAWS_CHECK_MSG(i == 0 || segments[i - 1].power != s.power,
-                   "fromSegments: equal-power neighbours must be merged");
-    cursor = s.interval.end();
-  }
-  PAWS_CHECK_MSG(cursor == finish,
-                 "fromSegments: segments must cover [0, finish)");
-  profile.segments_ = std::move(segments);
-  return profile;
-}
-
 Watts PowerProfile::valueAt(Time t) const {
   if (t < Time::zero() || t >= finish_) return Watts::zero();
   // Binary search over contiguous segments.

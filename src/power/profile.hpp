@@ -57,13 +57,6 @@ class PowerProfile {
  public:
   PowerProfile() = default;
 
-  /// Wraps an already-built segment list (used by power::ProfileEngine to
-  /// materialize its mutable state as an immutable profile). `segments`
-  /// must be contiguous from 0 to `finish` with equal-power neighbours
-  /// already merged — the invariants build() establishes.
-  [[nodiscard]] static PowerProfile fromSegments(
-      std::vector<PowerSegment> segments, Time finish);
-
   /// Segments in increasing time order; contiguous (no holes), covering
   /// [0, finish), with equal-power neighbours merged.
   [[nodiscard]] const std::vector<PowerSegment>& segments() const {

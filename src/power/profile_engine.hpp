@@ -1,77 +1,81 @@
-// ProfileEngine — a MUTABLE power profile with O(log n + touched segments)
-// delta updates, incrementally maintained aggregates, and a trail-aligned
+// ProfileEngine — a MUTABLE power profile: one flat, merged (begin, level)
+// segment list with incrementally maintained aggregates and a
 // checkpoint/restore undo log.
 //
 // PowerProfileBuilder rebuilds the whole piecewise-constant profile with an
-// O(n log n) event sort; that was fine for one-shot evaluation but every
+// O(n log n) event sort; that is fine for one-shot evaluation, but every
 // scheduler's inner loop evaluates *moves*: delay one task, ask "still no
 // spike? did utilization improve? what does the placed prefix cost?", and
 // usually undo. This engine is the power-side twin of the rollback-aware
-// LongestPathEngine (PR 2): the schedulers mutate it with addTask /
-// removeTask / moveTask deltas instead of rebuilding, read every
-// accept/reject quantity from cached aggregates in O(1)..O(log n), and
-// bracket tentative mutations with checkpoint()/restore() exactly like the
-// ConstraintGraph trail.
+// LongestPathEngine: the max-power and min-power schedulers mutate it with
+// addTask / removeTask / moveTask and bracket tentative mutations with
+// checkpoint()/restore() exactly like the ConstraintGraph trail; the
+// exhaustive search opens a checkpoint and adds one task per placement,
+// and restores it on backtrack.
 //
-// Representation: a sorted breakpoint map `begin -> level` over [0, finish)
-// (level includes the constant background draw), plus
-//   * a multiset of task contribution end times (finish = max, matching
-//     PowerProfileBuilder's span rule, which counts zero-power tasks);
-//   * running integrals: total energy, energy above Pmin (the paper's
-//     Ec_sigma(Pmin)), energy capped at Pmin (the utilization numerator);
-//   * ordered sets of spike-segment (> Pmax) and gap-segment (< Pmin)
-//     begin times — the first-spike / first-gap cursors;
-//   * a start-time index of task intervals for activeAt() stabbing queries
-//     (window-bounded by the largest task length seen).
+// Representation: the merged segments covering [0, finish), each holding
+// its level (background draw included) up to the next segment's begin,
+// plus a per-task array of intervals and powers. A mutation rebuilds only
+// the window it touches, in one pass over the segments it overlaps (plus
+// one neighbour on each side, where equal levels can merge). The same pass
+// updates the cached aggregates: the finish (empty and zero-power tasks
+// still extend it, matching PowerProfileBuilder's span rule), Ec(Pmin) and
+// the number of segments above Pmax; the tasks' summed energy, kept beside
+// them, turns Ec(Pmin) into the capped integral behind rho(Pmin). A
+// mutation made inside an open checkpoint saves the stretch it replaced,
+// so restore() splices it back.
 //
 // Thresholds are fixed per engine (background, Pmin, Pmax are constructor
 // parameters): the schedulers always evaluate against the problem's own
 // budgets, and fixing them is what makes the integrals maintainable as
 // running sums. All arithmetic is the same fixed-point Time/Watts/Energy
-// math the builder uses, so every aggregate is bit-identical to a fresh
-// PowerProfileBuilder rebuild — the determinism contract the equivalence
-// and property tests pin down.
+// math the builder uses, so the segments and every aggregate are
+// bit-identical to a fresh PowerProfileBuilder rebuild — the determinism
+// contract tests/properties/profile_engine_properties_test.cpp pins down.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "base/ids.hpp"
 #include "base/interval.hpp"
 #include "base/time.hpp"
 #include "base/units.hpp"
-#include "power/profile.hpp"
 
 namespace paws {
 class Problem;
 }  // namespace paws
 
-namespace paws::obs {
-class MetricsRegistry;
-}  // namespace paws::obs
-
 namespace paws::power {
 
 class ProfileEngine {
  public:
+  /// One merged piece: the level holds from `begin` to the next segment's
+  /// begin (or the finish). Levels include the background draw.
+  struct Segment {
+    Time begin;
+    Watts level;
+  };
+
   ProfileEngine(Watts background, Watts pmin, Watts pmax);
 
   // ----- mutation ------------------------------------------------------
 
   /// Adds task `v`'s contribution of `watts` over `interval`. Mirrors
   /// PowerProfileBuilder::add: empty intervals and zero powers still extend
-  /// the span to interval.end() but change no level. `v` must not be
-  /// present.
+  /// the span to interval.end() but change no level; any other
+  /// contribution must start at/after 0. `v` must not be present.
   void addTask(TaskId v, Interval interval, Watts watts);
 
   /// Removes task `v`'s contribution entirely; `v` must be present.
   void removeTask(TaskId v);
 
   /// Moves task `v`'s interval to begin at `newStart` (same length, same
-  /// power); `v` must be present.
+  /// power); `v` must be present. One update, over the hull of the old and
+  /// new intervals.
   void moveTask(TaskId v, Time newStart);
 
   /// Clears everything and re-seeds from a start-time assignment (one
@@ -79,136 +83,136 @@ class ProfileEngine {
   /// Must not be called while a checkpoint is open.
   void rebuild(const Problem& problem, const std::vector<Time>& starts);
 
-  /// Empties the engine (no tasks, zero span). Must not be called while a
-  /// checkpoint is open.
-  void clear();
+  // ----- queries -------------------------------------------------------
 
-  // ----- queries (all served from cached state) ------------------------
-
+  /// The merged segments, covering [0, finish) in time order.
+  [[nodiscard]] std::span<const Segment> segments() const {
+    return {segs_.data(), count_};
+  }
   [[nodiscard]] Time finish() const { return finish_; }
-  [[nodiscard]] bool hasTask(TaskId v) const;
   [[nodiscard]] Interval taskInterval(TaskId v) const;
 
-  /// Instantaneous power at t; zero outside [0, finish). O(log n).
+  /// Instantaneous power at t; zero outside [0, finish). O(log segments).
   [[nodiscard]] Watts valueAt(Time t) const;
 
-  /// Highest instantaneous level (0 for an empty span). O(segments) —
-  /// peak is a reporting quantity, not a scheduler inner-loop one, so it
-  /// is not worth a per-mutation level-count index.
-  [[nodiscard]] Watts peak() const;
-
-  [[nodiscard]] Energy totalEnergy() const { return total_; }
   /// Ec(Pmin) = integral of max(0, P(t) - Pmin) dt. O(1).
   [[nodiscard]] Energy energyAbove() const { return above_; }
-  /// Integral of min(P(t), Pmin) dt. O(1).
-  [[nodiscard]] Energy energyCapped() const { return capped_; }
   /// rho(Pmin), with PowerProfile::utilization's conventions. O(1).
   [[nodiscard]] double utilization() const;
 
-  /// Earliest t >= from with P(t) > Pmax. O(log n).
+  /// True when some instant of the span draws more than Pmax. O(1).
+  [[nodiscard]] bool hasSpike() const { return spikes_ > 0; }
+  /// Earliest t >= from with P(t) > Pmax — PowerProfile::firstSpike. O(1)
+  /// without spikes, else a scan from the segment holding `from`.
   [[nodiscard]] std::optional<Time> firstSpike(
       Time from = Time::minusInfinity()) const;
-  /// Earliest t >= from with P(t) < Pmin. O(log n).
-  [[nodiscard]] std::optional<Time> firstGap(Time from = Time::zero()) const;
 
   /// Maximal intervals with P(t) < Pmin, in time order — identical to
-  /// PowerProfile::gaps(pmin). O(gap segments * log n).
+  /// PowerProfile::gaps(pmin). One scan of the segments.
   [[nodiscard]] std::vector<Interval> gaps() const;
 
-  /// Tasks whose interval contains t, in increasing id order — the
-  /// active-interval index behind MaxPowerScheduler's victim scans.
-  /// O(log n + candidates in the stabbing window).
+  /// Tasks whose interval contains t, in increasing id order — the victim
+  /// set of MaxPowerScheduler. One scan of the per-task array.
   [[nodiscard]] std::vector<TaskId> activeAt(Time t) const;
 
-  /// Materializes the current profile with merged equal-power neighbours —
-  /// byte-identical to PowerProfileBuilder::build on the same
-  /// contributions. O(n).
-  [[nodiscard]] PowerProfile snapshot() const;
+  /// One step of the two-stream 64-bit mix used for search-state
+  /// fingerprints (FNV-1a-style streams with distinct constants; 128 bits
+  /// total so accidental collisions are out of reach for any realistic
+  /// search).
+  static constexpr void mixHash(std::uint64_t& h1, std::uint64_t& h2,
+                                std::uint64_t x) {
+    h1 = (h1 ^ x) * 0x100000001b3ULL;
+    h2 = (h2 ^ (x + 0x9e3779b97f4a7c15ULL)) * 0xc2b2ae3d27d4eb4fULL;
+  }
+
+  /// Mixes the profile into the two streams: the finish, then each
+  /// segment's (begin, level). Segments are merged, so the fingerprint is
+  /// a pure function of the profile as a function of time.
+  void mixInto(std::uint64_t& h1, std::uint64_t& h2) const;
 
   // ----- trail-aligned checkpoint / restore ----------------------------
   //
   // Same contract as LongestPathEngine: open a frame before tentative
   // mutations, restore() to undo them exactly (LIFO), release() to keep
-  // them. Frames nest; rebuild()/clear() are forbidden while any frame is
-  // open (the log could not replay across them). Mutations outside any
-  // open frame are not logged.
+  // them. Frames nest; rebuild() is forbidden while any frame is open (the
+  // log could not replay across it). Mutations outside any open frame are
+  // not logged.
 
   struct Checkpoint {
     std::size_t undoSize = 0;
   };
 
-  [[nodiscard]] Checkpoint checkpoint();
+  [[nodiscard]] Checkpoint checkpoint() {
+    ++openCheckpoints_;
+    return Checkpoint{undoCount_};
+  }
   void restore(const Checkpoint& cp);
   void release(const Checkpoint& cp);
 
-  // ----- observability -------------------------------------------------
+  // ----- effort counters (published by the schedulers as profile.*) ----
 
-  /// Adds the engine's effort counters to `registry`:
-  ///   profile.rebuilds             full re-seeds (rebuild() calls)
-  ///   profile.incremental_updates  addTask/removeTask/moveTask deltas
-  ///   profile.restores             checkpoint frames undone
-  void exportMetrics(obs::MetricsRegistry& registry) const;
-
+  /// Full re-seeds (rebuild() calls).
   [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
+  /// addTask/removeTask/moveTask calls that changed a task.
   [[nodiscard]] std::uint64_t incrementalUpdates() const { return updates_; }
+  /// Checkpoint frames undone.
   [[nodiscard]] std::uint64_t restores() const { return restores_; }
 
  private:
+  /// A task's interval [begin, end), its power, and whether it is in the
+  /// profile.
   struct Entry {
-    Interval interval;
+    Time begin;
+    Time end;
     Watts watts;
     bool present = false;
   };
 
-  void addContribution(TaskId v, Interval interval, Watts watts, bool log);
-  void removeContribution(TaskId v, bool log);
-  /// Adds `delta` to every segment level in [b, e); b and e must already be
-  /// breakpoints (or the span end).
-  void applyDelta(Time b, Time e, Watts delta);
-  /// Ensures a breakpoint at t (0 < t < finish) by splitting the segment
-  /// containing it.
-  void splitAt(Time t);
-  /// Removes the breakpoint at t when its level equals its predecessor's.
-  void coalesceAt(Time t);
-  /// Grows the span to `newEnd`, appending a background-level segment.
-  void extendTo(Time newEnd);
-  /// Shrinks the span to `newEnd`; everything at/after newEnd must already
-  /// be back at background level.
-  void shrinkTo(Time newEnd);
-  [[nodiscard]] Duration segmentLength(
-      std::map<Time, Watts>::const_iterator it) const;
-  /// Adds/removes one segment instance to the spike/gap cursors (no
-  /// energy change — used by split/coalesce too).
-  void registerSegment(Time begin, Watts level);
-  void unregisterSegment(Time begin, Watts level);
-  /// Adds (or subtracts) one segment's contribution to the running
-  /// integrals.
-  void energyDelta(Watts level, Duration length, bool add);
+  /// Gives task `v` the entry (present, [begin, end), watts): rebuilds the
+  /// window its old and new contributions and the span change touch, and
+  /// logs the replaced stretch when `log` and a frame is open. The caller
+  /// says whether `v` is present, so an addition (every placement of the
+  /// exhaustive search) compiles without the removal half.
+  template <bool kWasPresent>
+  void update(TaskId v, bool present, Time begin, Time end, Watts watts,
+              bool log);
+  /// Replaces segments [at, at + count) with the `n` segments at `with`.
+  void splice(std::size_t at, std::size_t count, const Segment* with,
+              std::size_t n);
 
   const Watts background_;
   const Watts pmin_;
   const Watts pmax_;
 
   Time finish_ = Time::zero();
-  std::map<Time, Watts> level_;                   // segment begin -> level
-  std::multiset<Time> ends_;                      // all contribution ends
-  Energy total_;
   Energy above_;
-  Energy capped_;
-  std::set<Time> spikeStarts_;                    // segment begins > pmax
-  std::set<Time> gapStarts_;                      // segment begins < pmin
-  std::multimap<Time, TaskId> byStart_;           // active-interval index
-  Duration maxTaskLength_ = Duration::zero();     // stabbing window bound
-  std::vector<Entry> tasks_;                      // indexed by TaskId
+  Energy taskEnergy_;        // sum of watts * length over present tasks
+  std::uint32_t spikes_ = 0;  // segments above Pmax
+  // The buffers below only grow, so no mutation allocates once the
+  // profile has reached its largest size.
+  std::vector<Segment> segs_;  // the profile: [0, count_)
+  std::size_t count_ = 0;
+  std::vector<Entry> tasks_;   // indexed by TaskId
 
+  /// One logged mutation: the aggregates and task `task`'s entry before
+  /// it, and the stretch [at, at + inserted) of the segments that replaced
+  /// `removed` segments now saved at the end of saved_.
   struct Undo {
-    enum class Op : std::uint8_t { kAdd, kRemove };
-    Op op;
+    Time finish;
+    Energy above;
+    Energy taskEnergy;
+    std::uint32_t spikes = 0;
+    std::uint32_t at = 0;
+    std::uint32_t removed = 0;
+    std::uint32_t inserted = 0;
     TaskId task;
-    Interval interval;
-    Watts watts;
+    Entry entry;
   };
-  std::vector<Undo> undoLog_;
+  std::vector<Undo> undo_;       // logged mutations: [0, undoCount_)
+  std::size_t undoCount_ = 0;
+  std::vector<Segment> saved_;   // the stretches they replaced:
+  std::size_t savedCount_ = 0;   // [0, savedCount_)
+  std::vector<Segment> window_;  // a mutation's rebuilt stretch
   std::size_t openCheckpoints_ = 0;
 
   std::uint64_t rebuilds_ = 0;

@@ -16,7 +16,7 @@
 #include "graph/longest_path.hpp"
 #include "obs/incumbents.hpp"
 #include "obs/metrics.hpp"
-#include "power/prefix_profile.hpp"
+#include "power/profile_engine.hpp"
 
 namespace paws {
 
@@ -381,7 +381,7 @@ class Worker {
   SearchShared& shared_;
   const PruneConfig prune_;
   guard::RunGuard guard_;
-  power::PrefixProfile prefix_;  // profile of the placed tasks 1..k
+  power::ProfileEngine prefix_;  // profile of the placed tasks 1..k
   std::span<const Duration> delays_;
   std::span<const Watts> powers_;
   std::span<const ResourceId> resources_;
@@ -429,12 +429,12 @@ bool Worker::costBoundPrunes(std::size_t k, std::int64_t aboveMwt,
 
 Sig Worker::frontierSig(std::size_t k) const {
   Sig s{0xcbf29ce484222325ULL, 0x9e3779b97f4a7c15ULL};
-  power::PrefixProfile::mixHash(s.a, s.b, static_cast<std::uint64_t>(k));
+  power::ProfileEngine::mixHash(s.a, s.b, static_cast<std::uint64_t>(k));
   const PruneTables& tb = *prune_.tables;
   for (std::size_t i = 1; i <= k; ++i) {
     if (tb.lastDependent[i] <= k) continue;
-    power::PrefixProfile::mixHash(s.a, s.b, static_cast<std::uint64_t>(i));
-    power::PrefixProfile::mixHash(
+    power::ProfileEngine::mixHash(s.a, s.b, static_cast<std::uint64_t>(i));
+    power::ProfileEngine::mixHash(
         s.a, s.b, static_cast<std::uint64_t>(starts_[i].ticks()));
   }
   return s;
@@ -526,13 +526,14 @@ void Worker::dfs(std::size_t k) {
     }
     if (violated) continue;
 
-    // Monotone power prunings on the placed prefix: the placement pushes
-    // task k onto the prefix profile (one pass over the segments its window
-    // touches) and the backtrack pops it. The final profile dominates the
-    // prefix pointwise (tasks only add power, and the final span only
-    // extends the background), so the prefix's energy above pmin
-    // lower-bounds the final energy cost.
-    prefix_.push(placed, power);
+    // Monotone power prunings on the placed prefix: the placement adds
+    // task k to the prefix profile inside a checkpoint (one pass over the
+    // segments its window touches) and the backtrack restores it. The
+    // final profile dominates the prefix pointwise (tasks only add power,
+    // and the final span only extends the background), so the prefix's
+    // energy above pmin lower-bounds the final energy cost.
+    const power::ProfileEngine::Checkpoint placement = prefix_.checkpoint();
+    prefix_.addTask(TaskId(static_cast<std::uint32_t>(k)), placed, power);
     profileUpdates_ += 2;  // the placement and its backtrack
     bool pruned = prefix_.hasSpike();
     if (!pruned) {
@@ -545,11 +546,11 @@ void Worker::dfs(std::size_t k) {
       pruned = dominated(sig);
     }
     if (pruned) {
-      prefix_.pop();
+      prefix_.restore(placement);
       continue;
     }
     dfs(k + 1);
-    prefix_.pop();
+    prefix_.restore(placement);
     if (shared_.stopped()) return;
   }
 }

@@ -24,8 +24,9 @@
 // Each pruning only discards subtrees that cannot contain the leaf the
 // unpruned search would return, so the result — including tie-breaks — is
 // byte-identical to the unpruned search for any flag combination.
-// The placed prefix's power profile is a power::PrefixProfile: a placement
-// pushes the task's contribution, a backtrack pops it.
+// The placed prefix's power profile is a power::ProfileEngine: a placement
+// opens a checkpoint and adds the task's contribution, a backtrack
+// restores it.
 // The search is exhaustive within the horizon, so the returned schedule
 // minimizes (energy cost at Pmin, finish time) lexicographically among all
 // valid schedules that fit the horizon. The search itself never runs the

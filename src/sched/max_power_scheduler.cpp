@@ -135,9 +135,9 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
 
   // The attempt's live profile: seeded once from the timing-valid starts,
   // then kept in sync with moveTask deltas as victims are delayed and
-  // accepted delay rounds propagate. Every query below (first spike, power
-  // at the spike instant, simultaneous tasks) is O(log n) against it
-  // instead of an O(V) scan or a full profileOf rebuild per round. All
+  // accepted delay rounds propagate. The queries below (first spike, power
+  // at the spike instant, simultaneous tasks) read its segment list and
+  // per-task array instead of a full profileOf rebuild per round. All
   // rejection paths return from the attempt, so no checkpoint frames are
   // needed — the engine dies with the attempt. Counters flush to the
   // scheduler-wide profile.* totals on every exit path.

@@ -79,8 +79,9 @@ class MaxPowerScheduler {
   guard::RunGuard guard_{guard::RunBudget{}};
   std::uint32_t rngState_ = 1;
   // Profile effort accumulated across all recursive attempts (each attempt
-  // owns a ProfileEngine; counters are flushed here as attempts unwind and
-  // exported as profile.* metrics by scheduleDetailed).
+  // owns a flat power::ProfileEngine seeded from its timing-valid starts;
+  // counters are flushed here as attempts unwind and exported as profile.*
+  // metrics by scheduleDetailed).
   std::uint64_t profileRebuilds_ = 0;
   std::uint64_t profileUpdates_ = 0;
   std::uint64_t profileRestores_ = 0;

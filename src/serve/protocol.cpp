@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "base/hash.hpp"
+#include "cache/cached_solve.hpp"
 #include "obs/json.hpp"
 #include "sched/power_aware_scheduler.hpp"
 
@@ -48,11 +49,6 @@ bool parseInt64(std::string_view s, std::int64_t& out) {
   return ec == std::errc() && ptr == last;
 }
 
-bool knownScheduler(std::string_view name) {
-  return name == "pipeline" || name == "serial" || name == "list" ||
-         name == "optimal";
-}
-
 ParseRequestResult failRequest(const char* reason) {
   ParseRequestResult r;
   r.error = reason;
@@ -89,7 +85,7 @@ ParseRequestResult parseRequest(std::string_view payload) {
     const std::string_view key = trimmed(t.substr(0, colon));
     const std::string_view value = trimmed(t.substr(colon + 1));
     if (key == "scheduler") {
-      if (!knownScheduler(value)) return failRequest("bad_scheduler");
+      if (!cache::knownScheduler(value)) return failRequest("bad_scheduler");
       req.scheduler = std::string(value);
     } else if (key == "timeout_ms") {
       std::int64_t ms = 0;

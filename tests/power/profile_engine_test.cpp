@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "base/interval.hpp"
-#include "obs/metrics.hpp"
-#include "power/profile.hpp"
 
 namespace paws::power {
 namespace {
@@ -14,15 +12,13 @@ Watts mw(std::int64_t milliwatts) { return Watts::fromMilliwatts(milliwatts); }
 TEST(ProfileEngineTest, EmptyEngineMatchesEmptyProfile) {
   ProfileEngine engine(mw(500), mw(2000), mw(8000));
   EXPECT_EQ(engine.finish(), Time::zero());
-  EXPECT_EQ(engine.peak(), Watts::zero());
-  EXPECT_EQ(engine.totalEnergy(), Energy());
+  EXPECT_TRUE(engine.segments().empty());
   EXPECT_EQ(engine.energyAbove(), Energy());
   EXPECT_EQ(engine.utilization(), 1.0);
+  EXPECT_FALSE(engine.hasSpike());
   EXPECT_FALSE(engine.firstSpike().has_value());
-  EXPECT_FALSE(engine.firstGap().has_value());
   EXPECT_TRUE(engine.gaps().empty());
   EXPECT_TRUE(engine.activeAt(Time(0)).empty());
-  EXPECT_TRUE(engine.snapshot().empty());
 }
 
 TEST(ProfileEngineTest, AddRemoveRoundTripsToEmpty) {
@@ -30,7 +26,6 @@ TEST(ProfileEngineTest, AddRemoveRoundTripsToEmpty) {
   engine.addTask(TaskId(1), Interval(Time(2), Time(6)), mw(3000));
   engine.addTask(TaskId(2), Interval(Time(4), Time(9)), mw(2500));
   EXPECT_EQ(engine.finish(), Time(9));
-  EXPECT_EQ(engine.peak(), mw(5500));
   EXPECT_EQ(engine.valueAt(Time(5)), mw(5500));
   EXPECT_EQ(engine.valueAt(Time(1)), mw(0));
   ASSERT_TRUE(engine.firstSpike().has_value());
@@ -39,8 +34,8 @@ TEST(ProfileEngineTest, AddRemoveRoundTripsToEmpty) {
   engine.removeTask(TaskId(2));
   engine.removeTask(TaskId(1));
   EXPECT_EQ(engine.finish(), Time::zero());
-  EXPECT_EQ(engine.totalEnergy(), Energy());
-  EXPECT_TRUE(engine.snapshot().empty());
+  EXPECT_EQ(engine.energyAbove(), Energy());
+  EXPECT_TRUE(engine.segments().empty());
 }
 
 TEST(ProfileEngineTest, ZeroPowerAndEmptyTasksExtendSpan) {
@@ -52,7 +47,8 @@ TEST(ProfileEngineTest, ZeroPowerAndEmptyTasksExtendSpan) {
   EXPECT_EQ(engine.valueAt(Time(1)), mw(100));  // background only
   engine.addTask(TaskId(2), Interval(Time(0), Time(7)), mw(0));  // zero power
   EXPECT_EQ(engine.finish(), Time(7));
-  EXPECT_EQ(engine.peak(), mw(100));
+  ASSERT_EQ(engine.segments().size(), 1u);  // background only
+  EXPECT_EQ(engine.segments()[0].level, mw(100));
   // Zero-power tasks are still active for the interval index.
   EXPECT_EQ(engine.activeAt(Time(2)), std::vector<TaskId>{TaskId(2)});
   // Removing the long zero task shrinks the span back.
@@ -84,20 +80,6 @@ TEST(ProfileEngineTest, GapsMergeContiguousSegments) {
   const auto gaps = engine.gaps();
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_EQ(gaps.front(), Interval(Time(2), Time(4)));
-  ASSERT_TRUE(engine.firstGap().has_value());
-  EXPECT_EQ(*engine.firstGap(), Time(2));
-  EXPECT_EQ(*engine.firstGap(Time(3)), Time(3));  // inside the gap
-  EXPECT_FALSE(engine.firstGap(Time(4)).has_value());
-}
-
-TEST(ProfileEngineTest, ClearEmptiesWithoutCountingARebuild) {
-  ProfileEngine engine(mw(0), mw(1000), mw(9000));
-  engine.addTask(TaskId(7), Interval(Time(0), Time(3)), mw(1234));
-  engine.clear();
-  EXPECT_EQ(engine.finish(), Time::zero());
-  EXPECT_FALSE(engine.hasTask(TaskId(7)));
-  EXPECT_TRUE(engine.snapshot().empty());
-  EXPECT_EQ(engine.rebuilds(), 0u);  // clear() is not a rebuild
 }
 
 TEST(ProfileEngineTest, CheckpointRestoreNestsLifo) {
@@ -110,14 +92,13 @@ TEST(ProfileEngineTest, CheckpointRestoreNestsLifo) {
 
   const auto inner = engine.checkpoint();
   engine.removeTask(TaskId(1));
-  EXPECT_FALSE(engine.hasTask(TaskId(1)));
+  EXPECT_TRUE(engine.activeAt(Time(4)).empty());
   engine.restore(inner);
-  EXPECT_TRUE(engine.hasTask(TaskId(1)));
   EXPECT_EQ(engine.taskInterval(TaskId(1)), Interval(Time(3), Time(8)));
 
   engine.restore(outer);
   EXPECT_EQ(engine.taskInterval(TaskId(1)), Interval(Time(0), Time(5)));
-  EXPECT_FALSE(engine.hasTask(TaskId(2)));
+  EXPECT_EQ(engine.activeAt(Time(1)), std::vector<TaskId>{TaskId(1)});
   EXPECT_EQ(engine.finish(), Time(5));
   EXPECT_EQ(engine.restores(), 2u);
 }
@@ -141,30 +122,6 @@ TEST(ProfileEngineTest, ActiveAtSortsByTaskId) {
   EXPECT_EQ(engine.activeAt(Time(9)), std::vector<TaskId>{TaskId(9)});
   EXPECT_TRUE(engine.activeAt(Time(10)).empty());  // half-open intervals
   EXPECT_TRUE(engine.activeAt(Time(-1)).empty());
-}
-
-TEST(ProfileEngineTest, SnapshotMergesEqualPowerNeighbours) {
-  ProfileEngine engine(mw(0), mw(1000), mw(9000));
-  engine.addTask(TaskId(1), Interval(Time(0), Time(3)), mw(2000));
-  engine.addTask(TaskId(2), Interval(Time(3), Time(6)), mw(2000));
-  const PowerProfile snap = engine.snapshot();
-  ASSERT_EQ(snap.segments().size(), 1u);
-  EXPECT_EQ(snap.segments().front().interval, Interval(Time(0), Time(6)));
-  EXPECT_EQ(snap.segments().front().power, mw(2000));
-}
-
-TEST(ProfileEngineTest, ExportMetricsPublishesCounters) {
-  ProfileEngine engine(mw(0), mw(1000), mw(9000));
-  engine.addTask(TaskId(1), Interval(Time(0), Time(2)), mw(1500));
-  const auto cp = engine.checkpoint();
-  engine.moveTask(TaskId(1), Time(1));
-  engine.restore(cp);
-
-  obs::MetricsRegistry registry;
-  engine.exportMetrics(registry);
-  EXPECT_EQ(registry.counter("profile.incremental_updates"), 2u);
-  EXPECT_EQ(registry.counter("profile.restores"), 1u);
-  EXPECT_EQ(registry.counter("profile.rebuilds"), 0u);
 }
 
 }  // namespace

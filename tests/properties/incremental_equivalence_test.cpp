@@ -1,6 +1,6 @@
-// The schedulers' one incremental profile path (power::ProfileEngine in
-// the max-power and min-power schedulers, power::PrefixProfile in the
-// exhaustive search), pinned to goldens recorded while each scheduler still
+// The schedulers' one incremental profile path (power::ProfileEngine, in
+// the max-power and min-power schedulers and in the exhaustive search),
+// pinned to goldens recorded while each scheduler still
 // had a second, rebuild-based profile path and both paths agreed on every
 // field: on the paper's example and a sweep of seeded random instances, the
 // same start times and the same search decisions.

@@ -1,9 +1,11 @@
-// pawsc's numeric flags: --trials takes 1..PowerAwareOptions::kMaxTrials
+// pawsc's flag checks. --trials takes 1..PowerAwareOptions::kMaxTrials
 // (the range pawsd's request header accepts) and --jobs a whole number
 // >= 0; anything else is a usage error (exit 1), caught while the flags
 // are parsed, before any command runs. The rejections are driven through
 // `pawsc check`, which reads neither flag, so a regression shows up as
 // exit 0 and never as a run with that many trials or worker threads.
+// --scheduler takes exactly the names pawsd accepts
+// (cache::knownScheduler); any other name is a usage error too.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -18,6 +20,9 @@ namespace {
 
 const std::string kSatellite =
     "'" + std::string(PAWS_EXAMPLES_DIR) + "/satellite.paws'";
+// Every scheduler solves this one (serial and list fail on satellite).
+const std::string kSensorNode =
+    "'" + std::string(PAWS_EXAMPLES_DIR) + "/sensor_node.paws'";
 
 /// Runs pawsc with `args` appended, output discarded; its exit code.
 int pawsc(const std::string& args) {
@@ -51,6 +56,21 @@ TEST(PawscCliTest, NegativeOrNonNumericJobsAreUsageErrors) {
 TEST(PawscCliTest, ValidTrialsAndJobsStillSchedule) {
   EXPECT_EQ(pawsc("schedule " + kSatellite + " --trials 1 --jobs 1"), 0);
   EXPECT_EQ(pawsc("schedule " + kSatellite + " --trials 64 --jobs 1"), 0);
+}
+
+TEST(PawscCliTest, UnknownSchedulerNamesAreUsageErrors) {
+  // A misspelt, an empty and a wrong-case name: none may fall through to
+  // some other scheduler's answer.
+  for (const char* value : {"optimel", "", "Pipeline", "OPTIMAL"}) {
+    EXPECT_EQ(pawsc("schedule " + kSatellite + " --scheduler '" + value +
+                    "' --digest"),
+              1)
+        << "--scheduler '" << value << "'";
+  }
+  for (const char* value : {"pipeline", "serial", "list", "optimal"}) {
+    EXPECT_EQ(pawsc("schedule " + kSensorNode + " --scheduler " + value), 0)
+        << "--scheduler " << value;
+  }
 }
 
 }  // namespace

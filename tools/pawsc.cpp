@@ -1275,6 +1275,11 @@ int runCli(int argc, char** argv) {
       paths.push_back(arg);  // extra input file (batch schedule)
     } else if (arg == "--scheduler") {
       scheduler = value("--scheduler");
+      if (!cache::knownScheduler(scheduler)) {
+        std::fprintf(stderr,
+                     "--scheduler takes pipeline|serial|list|optimal\n");
+        return kExitUsage;
+      }
     } else if (arg == "--trials") {
       std::int64_t n = 0;
       if (!parseWhole(value("--trials"), n) || n < 1 ||
