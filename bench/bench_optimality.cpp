@@ -155,8 +155,9 @@ BENCHMARK(BM_HeuristicOnSameInstances)->Arg(1)->Arg(2)->Arg(3)
     ->Unit(benchmark::kMicrosecond);
 
 // Parallel-search speedup on a 12-task instance. The search space dwarfs
-// the node budget, so every job count does exactly `maxNodes` nodes of
-// work and wall time measures how well the pool splits it. Speedup needs
+// the node budget, so every job count does `maxNodes` nodes of work (plus
+// at most 1023 per extra worker, which publishes its count in batches)
+// and wall time measures how well the pool splits it. Speedup needs
 // real cores — on a 1-CPU host the job counts tie (docs/performance.md).
 void BM_ExhaustiveParallel(benchmark::State& state) {
   GeneratorConfig cfg = smallConfig(11);

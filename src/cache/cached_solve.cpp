@@ -93,6 +93,9 @@ void insertClean(ScheduleCache& cache, const CacheKey& key,
                  std::uint64_t nodesExplored, bool provenOptimal) {
   CacheEntry entry;
   entry.scheduleText = io::scheduleToText(*r.schedule, label);
+  // The entry keeps its text until evicted: hold none of the capacity
+  // scheduleToText reserves for rendering.
+  entry.scheduleText.shrink_to_fit();
   entry.startsByName.reserve(problem.numTasks());
   for (TaskId v : problem.taskIds()) {
     entry.startsByName.emplace_back(problem.task(v).name,

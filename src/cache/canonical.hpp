@@ -17,6 +17,7 @@
 // (milliwatt / tick) form, so any semantic edit changes the text and
 // therefore the FNV-1a-64 hash. The problem name participates because
 // cached schedules rebind through `io::parseSchedule`, which checks it.
+// Tasks and constraints sort on precomputed integer name ranks.
 //
 // The *structural* hash is the same rendering with the power limits
 // (pmax/pmin/background) and each task's delay/power removed: problems
@@ -34,9 +35,12 @@
 namespace paws::cache {
 
 struct CanonicalForm {
-  /// Declaration-order-invariant rendering (see file header).
+  /// Declaration-order-invariant rendering (see file header). Empty for
+  /// CanonicalParts::kKeyOnly, which hashes the same bytes as it renders
+  /// them and never builds the text.
   std::string text;
-  /// fnv1a64(text) — the cache key's problem half.
+  /// fnv1a64 of the rendering — the cache key's problem half, identical
+  /// for both CanonicalParts.
   std::uint64_t hash = 0;
   /// Limits/delay/power-blind variant for near-miss candidate lookup.
   /// 0 when the form was computed with CanonicalParts::kKeyOnly.
@@ -44,13 +48,13 @@ struct CanonicalForm {
 };
 
 /// How much of the canonical form to compute. The exact-hit path only
-/// needs `text`/`hash`; rendering and hashing the structural skeleton too
-/// would roughly double the per-probe cost for a value the hit never
-/// reads. The miss path (near-miss lookup, insertion) recomputes the full
-/// form — that cost disappears next to any actual solve.
+/// needs `hash`; building the text or rendering the structural skeleton
+/// too would cost the probe for values the hit never reads. The miss path
+/// (near-miss lookup, insertion) recomputes the full form — that cost
+/// disappears next to any actual solve.
 enum class CanonicalParts {
-  kKeyOnly,  ///< text + hash only; structuralHash left 0
-  kFull,     ///< everything
+  kKeyOnly,  ///< hash only; text left empty, structuralHash left 0
+  kFull,     ///< text, hash and structuralHash
 };
 
 [[nodiscard]] CanonicalForm canonicalize(

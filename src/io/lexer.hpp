@@ -5,6 +5,11 @@
 // parser), punctuation ({ } ->), and end-of-file. '#' starts a comment that
 // runs to end of line. Every token carries its 1-based line and column for
 // parser diagnostics.
+//
+// Lifetime: a token's text is a view into the source passed to lex(), not
+// a copy. Strings have no escapes and never span lines, so the view is
+// exactly the token's text; the tokens (and any view taken from them) are
+// valid only while that source buffer is alive and unmodified.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +31,7 @@ enum class TokenKind : std::uint8_t {
 
 struct Token {
   TokenKind kind;
-  std::string text;  // raw text (without quotes for strings)
+  std::string_view text;  // raw text (without quotes for strings)
   int line = 1;
   int column = 1;
 };
@@ -52,6 +57,23 @@ inline constexpr std::size_t kMaxTokenLength = 4096;      // per token text
 inline constexpr std::size_t kMaxTokens = 1u << 20;       // ~1M tokens
 inline constexpr std::size_t kMaxLexErrors = 64;  // then the scan stops
 
+// Character classes, ASCII only (the same in every locale). The writer
+// uses them to decide which names it may print bare.
+[[nodiscard]] constexpr bool isDigit(char c) { return c >= '0' && c <= '9'; }
+[[nodiscard]] constexpr bool isIdentStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+[[nodiscard]] constexpr bool isIdentBody(char c) {
+  return isIdentStart(c) || isDigit(c) || c == '.';
+}
+
 LexResult lex(std::string_view source);
+
+/// Reads an integral kNumber token (`-?digits`) as strtoll would; false
+/// when the value does not fit an int64.
+[[nodiscard]] bool readInteger(std::string_view text, std::int64_t* out);
+/// Reads a kNumber token (`-?digits[.digits]`) as strtod would: HUGE_VAL
+/// when it overflows a double, 0 when it underflows.
+[[nodiscard]] double readDecimal(std::string_view text);
 
 }  // namespace paws::io

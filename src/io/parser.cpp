@@ -1,9 +1,8 @@
 #include "io/parser.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "base/check.hpp"
@@ -19,11 +18,20 @@ std::string format(const ParseError& error) {
 
 namespace {
 
+/// Joins message pieces; C++20 has no string + string_view.
+std::string cat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (const std::string_view part : parts) out += part;
+  return out;
+}
+
 /// Recursive-descent parser over the token stream. Errors are collected;
-/// panic recovery skips to the next plausible item start.
+/// panic recovery skips to the next plausible item start. Names and
+/// numbers are read as views into the source; only the names the Problem
+/// keeps are copied.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   ParseResult run() {
     ParseResult result;
@@ -58,14 +66,14 @@ class Parser {
     fatal_ = true;
   }
 
-  bool expectIdent(const char* what, std::string* out) {
+  /// The next token when it is a name (identifier or string); otherwise
+  /// reports it and returns nullptr.
+  const Token* expectIdent(const char* what) {
     if (!at(TokenKind::kIdentifier) && !at(TokenKind::kString)) {
-      error(peek(), std::string("expected ") + what + ", got '" +
-                        peek().text + "'");
-      return false;
+      error(peek(), cat({"expected ", what, ", got '", peek().text, "'"}));
+      return nullptr;
     }
-    *out = next().text;
-    return true;
+    return &next();
   }
 
   bool expectKeyword(const char* kw) {
@@ -92,8 +100,8 @@ class Parser {
       error(peek(), "expected a power value");
       return false;
     }
-    const Token num = next();
-    double value = std::strtod(num.text.c_str(), nullptr);
+    const Token& num = next();
+    double value = readDecimal(num.text);
     if (at(TokenKind::kIdentifier) &&
         (peek().text == "W" || peek().text == "mW")) {
       if (next().text == "mW") value /= 1000.0;
@@ -103,7 +111,7 @@ class Parser {
     // the milliwatt-tick energy arithmetic downstream regardless.
     if (!std::isfinite(value) || value > kMaxAbsWatts ||
         value < -kMaxAbsWatts) {
-      error(num, "power value '" + num.text + "' is out of range");
+      error(num, cat({"power value '", num.text, "' is out of range"}));
       return false;
     }
     *out = Watts::fromWatts(value);
@@ -116,18 +124,19 @@ class Parser {
       error(peek(), "expected a time value (integer ticks)");
       return false;
     }
-    const Token num = next();
-    if (num.text.find('.') != std::string::npos) {
-      error(num, "time values must be integral ticks, got '" + num.text + "'");
+    const Token& num = next();
+    if (num.text.find('.') != std::string_view::npos) {
+      error(num,
+            cat({"time values must be integral ticks, got '", num.text, "'"}));
       return false;
     }
-    errno = 0;
-    const std::int64_t ticks = std::strtoll(num.text.c_str(), nullptr, 10);
+    std::int64_t ticks = 0;
+    const bool fits = readInteger(num.text, &ticks);
     if (at(TokenKind::kIdentifier) && peek().text == "s") next();
-    // strtoll saturates on overflow (ERANGE); the explicit cap keeps every
-    // downstream Time/Duration sum far away from int64 overflow.
-    if (errno == ERANGE || ticks > kMaxAbsTicks || ticks < -kMaxAbsTicks) {
-      error(num, "time value '" + num.text + "' is out of range");
+    // The explicit cap keeps every downstream Time/Duration sum far away
+    // from int64 overflow.
+    if (!fits || ticks > kMaxAbsTicks || ticks < -kMaxAbsTicks) {
+      error(num, cat({"time value '", num.text, "' is out of range"}));
       return false;
     }
     *out = ticks;
@@ -140,42 +149,48 @@ class Parser {
       error(peek(), std::string("expected ") + what);
       return false;
     }
-    const Token num = next();
-    if (num.text.find('.') != std::string::npos) {
-      error(num, std::string(what) + " must be integral, got '" + num.text +
-                     "'");
+    const Token& num = next();
+    if (num.text.find('.') != std::string_view::npos) {
+      error(num, cat({what, " must be integral, got '", num.text, "'"}));
       return false;
     }
-    errno = 0;
-    const std::int64_t value = std::strtoll(num.text.c_str(), nullptr, 10);
-    if (errno == ERANGE || value > kMaxAbsTicks || value < -kMaxAbsTicks) {
-      error(num, "value '" + num.text + "' is out of range");
+    std::int64_t value = 0;
+    if (!readInteger(num.text, &value) || value > kMaxAbsTicks ||
+        value < -kMaxAbsTicks) {
+      error(num, cat({"value '", num.text, "' is out of range"}));
       return false;
     }
     *out = value;
     return true;
   }
 
-  bool lookupTask(const Token& where, const std::string& name, TaskId* out) {
-    const auto id = problem_.findTask(name);
+  bool lookupTask(const Token& where, TaskId* out) {
+    const auto id = problem_.findTask(where.text);
     if (!id) {
-      error(where, "unknown task '" + name + "'");
+      error(where, cat({"unknown task '", where.text, "'"}));
       return false;
     }
     *out = *id;
     return true;
   }
 
-  /// name "->" name; returns both ends.
-  bool parseTaskPair(TaskId* from, TaskId* to) {
-    const Token first = peek();
-    std::string a;
-    if (!expectIdent("a task name", &a)) return false;
-    if (!expect(TokenKind::kArrow, "'->'")) return false;
-    const Token second = peek();
-    std::string b;
-    if (!expectIdent("a task name", &b)) return false;
-    return lookupTask(first, a, from) && lookupTask(second, b, to);
+  /// name "->" name; returns both ends and the second name's token.
+  bool parseTaskPair(TaskId* from, TaskId* to, const Token** second) {
+    const Token* first = expectIdent("a task name");
+    if (first == nullptr || !expect(TokenKind::kArrow, "'->'")) return false;
+    *second = expectIdent("a task name");
+    return *second != nullptr && lookupTask(*first, from) &&
+           lookupTask(**second, to);
+  }
+
+  /// Problem rejects a separation from a task to itself; report it at the
+  /// second endpoint instead.
+  bool distinctEndpoints(std::string_view kw, TaskId from, TaskId to,
+                         const Token& toToken) {
+    if (from != to) return true;
+    error(toToken, cat({kw, " constraint from task '", toToken.text,
+                        "' to itself"}));
+    return false;
   }
 
   /// Caps the declared constraint count (each keyword adds at most two).
@@ -189,7 +204,7 @@ class Parser {
   void skipToNextItem() {
     while (!at(TokenKind::kEof) && !at(TokenKind::kRBrace)) {
       if (at(TokenKind::kIdentifier)) {
-        const std::string& t = peek().text;
+        const std::string_view t = peek().text;
         if (t == "task" || t == "resource" || t == "min" || t == "max" ||
             t == "precedes" || t == "release" || t == "deadline" ||
             t == "pin" || t == "pmax" || t == "pmin" || t == "background" ||
@@ -202,26 +217,27 @@ class Parser {
   }
 
   void parseTask() {
-    std::string name;
-    if (!expectIdent("a task name", &name)) return;
-    if (!expect(TokenKind::kLBrace, "'{'")) return;
+    const Token* nameToken = expectIdent("a task name");
+    if (nameToken == nullptr || !expect(TokenKind::kLBrace, "'{'")) return;
+    const std::string_view name = nameToken->text;
     std::optional<ResourceId> resource;
     std::optional<Duration> delay;
     std::optional<Watts> power;
+    const Token* powerToken = nullptr;
     std::uint8_t criticality = 0;
     while (!at(TokenKind::kRBrace) && !at(TokenKind::kEof) && !fatal_) {
-      const Token key = peek();
-      std::string kw;
-      if (!expectIdent("a task attribute", &kw)) {
+      const Token* key = expectIdent("a task attribute");
+      if (key == nullptr) {
         next();
         continue;
       }
+      const std::string_view kw = key->text;
       if (kw == "resource") {
-        std::string rname;
-        if (!expectIdent("a resource name", &rname)) continue;
-        const auto rid = problem_.findResource(rname);
+        const Token* rname = expectIdent("a resource name");
+        if (rname == nullptr) continue;
+        const auto rid = problem_.findResource(rname->text);
         if (!rid) {
-          error(key, "unknown resource '" + rname + "'");
+          error(*key, cat({"unknown resource '", rname->text, "'"}));
           continue;
         }
         resource = *rid;
@@ -229,33 +245,37 @@ class Parser {
         std::int64_t ticks = 0;
         if (parseTicks(&ticks)) delay = Duration(ticks);
       } else if (kw == "power") {
+        const Token& value = peek();
         Watts w;
-        if (parsePower(&w)) power = w;
+        if (parsePower(&w)) {
+          power = w;
+          powerToken = &value;
+        }
       } else if (kw == "droppable") {
         // Optional shed rank; a bare `droppable` means rank 1.
         std::int64_t rank = 1;
         if (at(TokenKind::kNumber) && !parseTicks(&rank)) continue;
         if (rank < 1 || rank > 255) {
-          error(key, "droppable rank must be in [1, 255]");
+          error(*key, "droppable rank must be in [1, 255]");
           continue;
         }
         criticality = static_cast<std::uint8_t>(rank);
       } else {
-        error(key, "unknown task attribute '" + kw + "'");
+        error(*key, cat({"unknown task attribute '", kw, "'"}));
       }
     }
     expect(TokenKind::kRBrace, "'}'");
     if (!resource || !delay || !power) {
-      error(peek(), "task '" + name +
-                        "' needs resource, delay and power attributes");
+      error(peek(), cat({"task '", name,
+                         "' needs resource, delay and power attributes"}));
       return;
     }
     if (delay->ticks() <= 0) {
-      error(peek(), "task '" + name + "' needs a positive delay");
+      error(peek(), cat({"task '", name, "' needs a positive delay"}));
       return;
     }
     if (problem_.findTask(name)) {
-      error(peek(), "duplicate task '" + name + "'");
+      error(peek(), cat({"duplicate task '", name, "'"}));
       return;
     }
     if (problem_.numVertices() - 1 >= kMaxTasks) {
@@ -263,7 +283,19 @@ class Parser {
                         ")");
       return;
     }
-    const TaskId id = problem_.addTask(name, *delay, *power, *resource);
+    // Problem::addTask's preconditions, reported at the offending token.
+    bool valid = true;
+    if (name.empty()) {
+      error(*nameToken, "task name must be non-empty");
+      valid = false;
+    }
+    if (*power < Watts::zero()) {
+      error(*powerToken, cat({"task '", name, "' needs a non-negative power"}));
+      valid = false;
+    }
+    if (!valid) return;
+    const TaskId id =
+        problem_.addTask(std::string(name), *delay, *power, *resource);
     if (criticality > 0) problem_.setCriticality(id, criticality);
   }
 
@@ -277,36 +309,36 @@ class Parser {
     BatteryTraits traits;
     bool bad = false;
     while (!at(TokenKind::kRBrace) && !at(TokenKind::kEof) && !fatal_) {
-      const Token attr = peek();
-      std::string kw;
-      if (!expectIdent("a battery attribute", &kw)) {
+      const Token* attr = expectIdent("a battery attribute");
+      if (attr == nullptr) {
         next();
         continue;
       }
+      const std::string_view kw = attr->text;
       if (kw == "rate") {
         Watts threshold;
         if (!parsePower(&threshold)) continue;
         std::int64_t factor = 0;
         if (!parseInteger("a permille factor", &factor)) continue;
         if (threshold < Watts::zero()) {
-          error(attr, "rate band threshold must be >= 0");
+          error(*attr, "rate band threshold must be >= 0");
           bad = true;
           continue;
         }
         if (factor < 1000 || factor > 1'000'000) {
-          error(attr, "rate factor must be in [1000, 1000000] permille");
+          error(*attr, "rate factor must be in [1000, 1000000] permille");
           bad = true;
           continue;
         }
         if (traits.bands.size() >= kMaxRateBands) {
-          error(attr, "too many rate bands (limit " +
+          error(*attr, "too many rate bands (limit " +
                           std::to_string(kMaxRateBands) + ")");
           bad = true;
           continue;
         }
         if (!traits.bands.empty() &&
             threshold <= traits.bands.back().threshold) {
-          error(attr, "rate band thresholds must strictly increase");
+          error(*attr, "rate band thresholds must strictly increase");
           bad = true;
           continue;
         }
@@ -315,7 +347,7 @@ class Parser {
         std::int64_t permille = 0;
         if (!parseInteger("a permille fraction", &permille)) continue;
         if (permille < 0 || permille > 1000) {
-          error(attr, "recoverable fraction must be in [0, 1000] permille");
+          error(*attr, "recoverable fraction must be in [0, 1000] permille");
           bad = true;
           continue;
         }
@@ -324,13 +356,13 @@ class Parser {
         Watts w;
         if (!parsePower(&w)) continue;
         if (w < Watts::zero()) {
-          error(attr, "recovery rate must be >= 0");
+          error(*attr, "recovery rate must be >= 0");
           bad = true;
           continue;
         }
         traits.recoveryRate = w;
       } else {
-        error(attr, "unknown battery attribute '" + kw + "'");
+        error(*attr, cat({"unknown battery attribute '", kw, "'"}));
       }
     }
     expect(TokenKind::kRBrace, "'}'");
@@ -348,24 +380,23 @@ class Parser {
   /// not increase down the ladder (checked by Problem::validate, reported
   /// to the caller alongside other semantic issues).
   void parseMode(const Token& key) {
-    std::string name;
-    if (!expectIdent("a mode name", &name)) return;
-    if (!expect(TokenKind::kLBrace, "'{'")) return;
+    const Token* name = expectIdent("a mode name");
+    if (name == nullptr || !expect(TokenKind::kLBrace, "'{'")) return;
     SystemMode mode;
-    mode.name = name;
+    mode.name = std::string(name->text);
     bool bad = false;
     while (!at(TokenKind::kRBrace) && !at(TokenKind::kEof) && !fatal_) {
-      const Token attr = peek();
-      std::string kw;
-      if (!expectIdent("a mode attribute", &kw)) {
+      const Token* attr = expectIdent("a mode attribute");
+      if (attr == nullptr) {
         next();
         continue;
       }
+      const std::string_view kw = attr->text;
       std::int64_t value = 0;
       if (kw == "ceiling") {
         if (!parseInteger("a criticality ceiling", &value)) continue;
         if (value < 0 || value > 255) {
-          error(attr, "mode ceiling must be in [0, 255]");
+          error(*attr, "mode ceiling must be in [0, 255]");
           bad = true;
           continue;
         }
@@ -373,7 +404,7 @@ class Parser {
       } else if (kw == "pmax_scale" || kw == "pmin_scale") {
         if (!parseInteger("a percentage", &value)) continue;
         if (value < 0 || value > 100) {
-          error(attr, "mode power scale must be in [0, 100] percent");
+          error(*attr, "mode power scale must be in [0, 100] percent");
           bad = true;
           continue;
         }
@@ -383,14 +414,14 @@ class Parser {
           mode.pminPct = static_cast<std::uint32_t>(value);
         }
       } else {
-        error(attr, "unknown mode attribute '" + kw + "'");
+        error(*attr, cat({"unknown mode attribute '", kw, "'"}));
       }
     }
     expect(TokenKind::kRBrace, "'}'");
     if (bad) return;
     for (const SystemMode& m : problem_.modes()) {
       if (m.name == mode.name) {
-        error(key, "duplicate mode '" + name + "'");
+        error(key, cat({"duplicate mode '", name->text, "'"}));
         return;
       }
     }
@@ -402,12 +433,13 @@ class Parser {
   }
 
   void parseItem() {
-    const Token key = peek();
-    std::string kw;
-    if (!expectIdent("an item", &kw)) {
+    const Token* keyToken = expectIdent("an item");
+    if (keyToken == nullptr) {
       next();
       return;
     }
+    const Token& key = *keyToken;
+    const std::string_view kw = key.text;
     if (kw == "pmax") {
       Watts w;
       if (parsePower(&w)) problem_.setMaxPower(w);
@@ -418,10 +450,11 @@ class Parser {
       Watts w;
       if (parsePower(&w)) problem_.setBackgroundPower(w);
     } else if (kw == "resource") {
-      std::string name;
-      if (!expectIdent("a resource name", &name)) return;
+      const Token* nameToken = expectIdent("a resource name");
+      if (nameToken == nullptr) return;
+      const std::string_view name = nameToken->text;
       if (problem_.findResource(name)) {
-        error(key, "duplicate resource '" + name + "'");
+        error(key, cat({"duplicate resource '", name, "'"}));
         return;
       }
       if (problem_.numResources() >= kMaxResources) {
@@ -429,7 +462,11 @@ class Parser {
                        std::to_string(kMaxResources) + ")");
         return;
       }
-      problem_.addResource(name);
+      if (name.empty()) {  // Problem::addResource's precondition
+        error(*nameToken, "resource name must be non-empty");
+        return;
+      }
+      problem_.addResource(std::string(name));
     } else if (kw == "task") {
       parseTask();
     } else if (kw == "battery") {
@@ -439,12 +476,14 @@ class Parser {
     } else if (kw == "min" || kw == "max") {
       if (!constraintBudgetOk(key)) return;
       TaskId from, to;
-      if (!parseTaskPair(&from, &to)) {
+      const Token* toToken = nullptr;
+      if (!parseTaskPair(&from, &to, &toToken)) {
         skipToNextItem();
         return;
       }
       std::int64_t ticks = 0;
       if (!parseTicks(&ticks)) return;
+      if (!distinctEndpoints(kw, from, to, *toToken)) return;
       if (kw == "min") {
         problem_.minSeparation(from, to, Duration(ticks));
       } else {
@@ -453,7 +492,8 @@ class Parser {
     } else if (kw == "precedes") {
       if (!constraintBudgetOk(key)) return;
       TaskId from, to;
-      if (!parseTaskPair(&from, &to)) {
+      const Token* toToken = nullptr;
+      if (!parseTaskPair(&from, &to, &toToken)) {
         skipToNextItem();
         return;
       }
@@ -461,14 +501,14 @@ class Parser {
       if (at(TokenKind::kNumber)) {
         if (!parseTicks(&lag)) return;
       }
+      if (!distinctEndpoints(kw, from, to, *toToken)) return;
       problem_.precedes(from, to, Duration(lag));
     } else if (kw == "release" || kw == "deadline" || kw == "pin") {
       if (!constraintBudgetOk(key)) return;
-      const Token where = peek();
-      std::string name;
-      if (!expectIdent("a task name", &name)) return;
+      const Token* name = expectIdent("a task name");
+      if (name == nullptr) return;
       TaskId v;
-      if (!lookupTask(where, name, &v)) {
+      if (!lookupTask(*name, &v)) {
         skipToNextItem();
         return;
       }
@@ -482,16 +522,16 @@ class Parser {
         problem_.pin(v, Time(ticks));
       }
     } else {
-      error(key, "unknown item '" + kw + "'");
+      error(key, cat({"unknown item '", kw, "'"}));
       skipToNextItem();
     }
   }
 
   void parseFile() {
     if (!expectKeyword("problem")) return;
-    std::string name;
-    if (!expectIdent("a problem name", &name)) return;
-    problem_.setName(name);
+    const Token* name = expectIdent("a problem name");
+    if (name == nullptr) return;
+    problem_.setName(std::string(name->text));
     if (!expect(TokenKind::kLBrace, "'{'")) return;
     while (!at(TokenKind::kRBrace) && !at(TokenKind::kEof) && !fatal_) {
       parseItem();
@@ -503,7 +543,7 @@ class Parser {
     }
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   std::size_t pos_ = 0;
   Problem problem_;
   std::vector<ParseError> errors_;
@@ -513,7 +553,7 @@ class Parser {
 }  // namespace
 
 ParseResult parseProblem(std::string_view source) {
-  LexResult lexed = lex(source);
+  const LexResult lexed = lex(source);
   if (!lexed.ok()) {
     ParseResult result;
     for (const LexError& e : lexed.errors) {
@@ -525,7 +565,7 @@ ParseResult parseProblem(std::string_view source) {
   // missed must surface as a structured error, never as an escaping
   // exception — parse errors on untrusted bytes are data, not bugs.
   try {
-    return Parser(std::move(lexed.tokens)).run();
+    return Parser(lexed.tokens).run();
   } catch (const CheckError& e) {
     ParseResult result;
     result.errors.push_back(

@@ -1,9 +1,7 @@
 #include "io/schedule_io.hpp"
 
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <ostream>
-#include <sstream>
 
 #include "io/lexer.hpp"
 #include "io/parser.hpp"
@@ -14,7 +12,7 @@ namespace paws::io {
 ScheduleParseResult parseSchedule(std::string_view source,
                                   const Problem& problem) {
   ScheduleParseResult result;
-  LexResult lexed = lex(source);
+  const LexResult lexed = lex(source);
   for (const LexError& e : lexed.errors) {
     result.errors.push_back(ParseError{e.message, e.line, e.column});
   }
@@ -32,7 +30,7 @@ ScheduleParseResult parseSchedule(std::string_view source,
     result.errors.push_back(ParseError{std::move(message), t.line, t.column});
   };
 
-  const auto expectName = [&](const char* what, std::string* out) {
+  const auto expectName = [&](const char* what, std::string_view* out) {
     if (peek().kind != TokenKind::kIdentifier &&
         peek().kind != TokenKind::kString) {
       fail(peek(), std::string("expected ") + what);
@@ -42,17 +40,20 @@ ScheduleParseResult parseSchedule(std::string_view source,
     return true;
   };
 
-  std::string kw;
+  std::string_view kw;
   if (!expectName("'schedule'", &kw) || kw != "schedule") {
     if (kw != "schedule") fail(ts[0], "document must start with 'schedule'");
     return result;
   }
-  if (!expectName("a schedule label", &result.label)) return result;
+  std::string_view name;
+  if (!expectName("a schedule label", &name)) return result;
+  result.label = name;
   if (!expectName("'of'", &kw) || kw != "of") {
     fail(peek(), "expected 'of <problem name>'");
     return result;
   }
-  if (!expectName("a problem name", &result.problemName)) return result;
+  if (!expectName("a problem name", &name)) return result;
+  result.problemName = name;
   if (result.problemName != problem.name()) {
     fail(peek(), "schedule is for problem '" + result.problemName +
                      "', not '" + problem.name() + "'");
@@ -70,8 +71,8 @@ ScheduleParseResult parseSchedule(std::string_view source,
 
   while (peek().kind != TokenKind::kRBrace &&
          peek().kind != TokenKind::kEof) {
-    const Token at = peek();
-    std::string item;
+    const Token& at = peek();
+    std::string_view item;
     if (!expectName("'at'", &item)) {
       next();
       continue;
@@ -80,34 +81,34 @@ ScheduleParseResult parseSchedule(std::string_view source,
       fail(at, "expected 'at <task> <time>'");
       continue;
     }
-    const Token nameTok = peek();
-    std::string taskName;
+    const Token& nameTok = peek();
+    std::string_view taskName;
     if (!expectName("a task name", &taskName)) continue;
     const auto id = problem.findTask(taskName);
     if (!id) {
-      fail(nameTok, "unknown task '" + taskName + "'");
+      fail(nameTok, "unknown task '" + std::string(taskName) + "'");
       continue;
     }
     if (peek().kind != TokenKind::kNumber) {
       fail(peek(), "expected a start time");
       continue;
     }
-    const Token num = next();
-    if (num.text.find('.') != std::string::npos) {
+    const Token& num = next();
+    if (num.text.find('.') != std::string_view::npos) {
       fail(num, "start times are integral ticks");
       continue;
     }
     if (peek().kind == TokenKind::kIdentifier && peek().text == "s") next();
     if (assigned[id->index()]) {
-      fail(nameTok, "task '" + taskName + "' assigned twice");
+      fail(nameTok, "task '" + std::string(taskName) + "' assigned twice");
       continue;
     }
-    errno = 0;
-    const std::int64_t ticks = std::strtoll(num.text.c_str(), nullptr, 10);
+    std::int64_t ticks = 0;
     // Same range discipline as parseTicks in parser.cpp: an untrusted
     // start time must not push profile/longest-path sums near overflow.
-    if (errno == ERANGE || ticks > kMaxAbsTicks || ticks < -kMaxAbsTicks) {
-      fail(num, "start time '" + num.text + "' is out of range");
+    if (!readInteger(num.text, &ticks) || ticks > kMaxAbsTicks ||
+        ticks < -kMaxAbsTicks) {
+      fail(num, "start time '" + std::string(num.text) + "' is out of range");
       continue;
     }
     assigned[id->index()] = true;
@@ -127,19 +128,33 @@ ScheduleParseResult parseSchedule(std::string_view source,
 
 void writeSchedule(std::ostream& os, const Schedule& schedule,
                    std::string_view label) {
-  const Problem& p = schedule.problem();
-  os << "schedule \"" << label << "\" of \"" << p.name() << "\" {\n";
-  for (TaskId v : p.taskIds()) {
-    os << "  at " << nameToken(p.task(v).name) << " "
-       << schedule.start(v).ticks() << "\n";
-  }
-  os << "}\n";
+  os << scheduleToText(schedule, label);
 }
 
 std::string scheduleToText(const Schedule& schedule, std::string_view label) {
-  std::ostringstream os;
-  writeSchedule(os, schedule, label);
-  return os.str();
+  // Every reply renders this text, so it is built with plain appends.
+  const Problem& p = schedule.problem();
+  std::string out;
+  out.reserve(32 + label.size() + p.name().size() + 24 * p.numTasks());
+  out += "schedule \"";
+  out += label;
+  out += "\" of \"";
+  out += p.name();
+  out += "\" {\n";
+  char digits[24];
+  for (std::size_t i = 1; i < p.numVertices(); ++i) {
+    const TaskId v(static_cast<std::uint32_t>(i));
+    out += "  at ";
+    appendNameToken(out, p.task(v).name);
+    out += ' ';
+    const auto end =
+        std::to_chars(digits, digits + sizeof digits, schedule.start(v).ticks())
+            .ptr;
+    out.append(digits, end);
+    out += '\n';
+  }
+  out += "}\n";
+  return out;
 }
 
 }  // namespace paws::io

@@ -1,10 +1,11 @@
 #include "io/writer.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <ostream>
 #include <sstream>
 #include <vector>
+
+#include "io/lexer.hpp"
 
 namespace paws::io {
 
@@ -15,19 +16,12 @@ void writeWatts(std::ostream& os, Watts w) {
   os << w;  // operator<< already prints e.g. "14.9W" / "0.025W"
 }
 
-/// Mirrors the lexer's identifier rules (lexer.cpp): leading alpha/'_',
-/// then alnum/'_'/'.'.
+/// The lexer's identifier rule: an identifier start, then identifier
+/// body characters.
 bool isPlainIdentifier(std::string_view name) {
-  if (name.empty()) return false;
-  if (!(std::isalpha(static_cast<unsigned char>(name[0])) ||
-        name[0] == '_')) {
-    return false;
-  }
+  if (name.empty() || !isIdentStart(name[0])) return false;
   for (char c : name) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-          c == '.')) {
-      return false;
-    }
+    if (!isIdentBody(c)) return false;
   }
   return true;
 }
@@ -35,13 +29,19 @@ bool isPlainIdentifier(std::string_view name) {
 }  // namespace
 
 std::string nameToken(std::string_view name) {
-  if (isPlainIdentifier(name)) return std::string(name);
-  std::string quoted;
-  quoted.reserve(name.size() + 2);
-  quoted += '"';
-  quoted += name;
-  quoted += '"';
-  return quoted;
+  std::string out;
+  appendNameToken(out, name);
+  return out;
+}
+
+void appendNameToken(std::string& out, std::string_view name) {
+  if (isPlainIdentifier(name)) {
+    out += name;
+    return;
+  }
+  out += '"';
+  out += name;
+  out += '"';
 }
 
 void writeProblem(std::ostream& os, const Problem& problem) {

@@ -4,6 +4,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "model/problem.hpp"
 #include "sched/schedule.hpp"
@@ -14,6 +15,8 @@ namespace paws::io {
 /// is a plain identifier, quoted otherwise. Names containing '"' or a
 /// newline are not representable in .paws (strings have no escapes).
 std::string nameToken(std::string_view name);
+/// Appends nameToken(name) to `out` without a temporary.
+void appendNameToken(std::string& out, std::string_view name);
 
 /// Serializes `problem` in .paws syntax. parseProblem(writeProblem(p))
 /// reconstructs an equivalent problem (same tasks, resources, constraints

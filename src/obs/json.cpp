@@ -314,33 +314,44 @@ class Parser {
 
 ParseResult parse(std::string_view textIn) { return Parser(textIn).run(); }
 
-void writeString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
+void appendString(std::string& out, std::string_view s) {
+  out += '"';
+  // Unescaped runs are appended whole; only the escapes go byte by byte.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out += escape;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
     }
   }
-  os << '"';
+  out.append(s.data() + run, s.size() - run);
+  out += '"';
 }
 
+void writeString(std::ostream& os, std::string_view s) { os << escaped(s); }
+
 std::string escaped(std::string_view s) {
-  std::ostringstream os;
-  writeString(os, s);
-  return os.str();
+  std::string out;
+  out.reserve(s.size() + 2);
+  appendString(out, s);
+  return out;
 }
 
 }  // namespace paws::obs::json

@@ -66,8 +66,9 @@ struct ParseResult {
 /// an error). Depth-capped at 96 nested containers.
 [[nodiscard]] ParseResult parse(std::string_view textIn);
 
-/// Writes `s` as a JSON string literal (quotes included) with the
-/// mandatory escapes.
+/// Appends `s` as a JSON string literal (quotes included) with the
+/// mandatory escapes; writeString and escaped spell the same bytes.
+void appendString(std::string& out, std::string_view s);
 void writeString(std::ostream& os, std::string_view s);
 [[nodiscard]] std::string escaped(std::string_view s);
 

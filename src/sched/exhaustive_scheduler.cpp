@@ -247,6 +247,8 @@ enum StopCode : std::uint8_t {
 struct SearchShared {
   std::atomic<std::int64_t> bestCostMwt{
       std::numeric_limits<std::int64_t>::max()};
+  /// Every worker's expanded nodes, added in batches (see
+  /// Worker::unflushedNodes_); exact once the workers are gone.
   std::atomic<std::uint64_t> nodesExplored{0};
   std::atomic<std::uint8_t> stop{kStopNone};
   std::uint64_t maxNodes = 0;
@@ -255,7 +257,7 @@ struct SearchShared {
   /// bound; the log's own monotonicity filter absorbs publication races.
   obs::IncumbentLog* incumbents = nullptr;
   // Aggregated per-worker profile effort (flushed once per worker, not per
-  // node — the dfs hot loop stays atomic-free).
+  // node — the dfs hot loop makes no per-node atomic read-modify-write).
   std::atomic<std::uint64_t> profileUpdates{0};
   // Aggregated pruning counters, flushed per worker like the profile ones.
   std::atomic<std::uint64_t> prunedDominance{0};
@@ -320,7 +322,9 @@ class Worker {
         starts_(problem.numVertices(), Time::zero()) {}
 
   ~Worker() {
-    // Flush this worker's profile effort into the shared aggregates.
+    // Flush this worker's effort into the shared aggregates.
+    shared_.nodesExplored.fetch_add(unflushedNodes_,
+                                    std::memory_order_relaxed);
     shared_.profileUpdates.fetch_add(profileUpdates_,
                                      std::memory_order_relaxed);
     shared_.prunedDominance.fetch_add(prunedDominance_,
@@ -386,6 +390,11 @@ class Worker {
   std::span<const Watts> powers_;
   std::span<const ResourceId> resources_;
   std::unordered_set<Sig, SigHash> tt_;  // dominance transposition table
+  /// Nodes expanded since the last add into shared_.nodesExplored, which
+  /// the dfs makes once per kNodeFlushBatch nodes (and the destructor once
+  /// more), not once per node.
+  std::uint64_t unflushedNodes_ = 0;
+  static constexpr std::uint64_t kNodeFlushBatch = 1024;
   std::uint64_t profileUpdates_ = 0;
   std::uint64_t prunedDominance_ = 0;
   std::uint64_t prunedSymmetry_ = 0;
@@ -493,10 +502,19 @@ void Worker::dfs(std::size_t k) {
     }
   }
   for (Time t = lo; t <= hi; t += Duration(1)) {
-    if (shared_.nodesExplored.fetch_add(1, std::memory_order_relaxed) + 1 >
+    // The budget sees every worker's flushed nodes plus this worker's
+    // unflushed ones: with one worker, exactly the nodes expanded so far.
+    ++unflushedNodes_;
+    if (shared_.nodesExplored.load(std::memory_order_relaxed) +
+            unflushedNodes_ >
         shared_.maxNodes) {
       shared_.publishStop(kStopNodeBudget);
       return;
+    }
+    if (unflushedNodes_ == kNodeFlushBatch) {
+      shared_.nodesExplored.fetch_add(unflushedNodes_,
+                                      std::memory_order_relaxed);
+      unflushedNodes_ = 0;
     }
     if (guard_.poll() != guard::StopReason::kNone) {
       shared_.publishStop(guard_.reason() == guard::StopReason::kCancelled

@@ -58,7 +58,9 @@ struct ExhaustiveOptions {
   /// relative to this horizon.
   std::optional<Time> horizon;
   /// Node budget; the search reports nonOptimal when it trips. Shared by
-  /// all workers in parallel mode.
+  /// all workers in parallel mode, where each worker publishes its count
+  /// every 1024 nodes: a worker may run up to 1023 nodes per other worker
+  /// past the budget. One worker stops exactly on node maxNodes + 1.
   std::uint64_t maxNodes = 20'000'000;
   /// Worker threads for the branch-and-bound: 1 runs the serial search on
   /// the calling thread, 0 resolves via PAWS_JOBS / hardware_concurrency

@@ -122,19 +122,42 @@ std::string formatRequest(const Request& req) {
 }
 
 std::string toJson(const Response& r) {
-  std::ostringstream os;
-  os << "{\"schema\": 1"
-     << ", \"outcome\": " << obs::json::escaped(r.outcome)
-     << ", \"reason\": " << obs::json::escaped(r.reason)
-     << ", \"mode\": " << obs::json::escaped(r.mode)
-     << ", \"degraded\": " << (r.degraded ? "true" : "false")
-     << ", \"cache_hit\": " << (r.cacheHit ? "true" : "false")
-     << ", \"finish_ticks\": " << r.finishTicks
-     << ", \"energy_cost_mwt\": " << r.energyCostMwt
-     << ", \"schedule_digest\": " << obs::json::escaped(r.scheduleDigest)
-     << ", \"schedule\": " << obs::json::escaped(r.scheduleText)
-     << ", \"service_us\": " << r.serviceUs << "}\n";
-  return os.str();
+  // Rendered on every reply: plain appends, the schedule text escaped
+  // straight into the document.
+  std::string out;
+  out.reserve(256 + r.scheduleText.size() + r.reason.size());
+  const auto field = [&out](std::string_view name) {
+    out += ", \"";
+    out += name;
+    out += "\": ";
+  };
+  const auto number = [&out](std::int64_t v) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  out += "{\"schema\": 1";
+  field("outcome");
+  obs::json::appendString(out, r.outcome);
+  field("reason");
+  obs::json::appendString(out, r.reason);
+  field("mode");
+  obs::json::appendString(out, r.mode);
+  field("degraded");
+  out += r.degraded ? "true" : "false";
+  field("cache_hit");
+  out += r.cacheHit ? "true" : "false";
+  field("finish_ticks");
+  number(r.finishTicks);
+  field("energy_cost_mwt");
+  number(r.energyCostMwt);
+  field("schedule_digest");
+  obs::json::appendString(out, r.scheduleDigest);
+  field("schedule");
+  obs::json::appendString(out, r.scheduleText);
+  field("service_us");
+  number(r.serviceUs);
+  out += "}\n";
+  return out;
 }
 
 bool responseFromJson(std::string_view payload, Response& out) {

@@ -92,6 +92,21 @@ TEST(ParserLimitsTest, OutOfRangeWattsAreStructuredErrors) {
   EXPECT_TRUE(anyErrorContains(r.errors, "out of range"));
 }
 
+TEST(ParserLimitsTest, DecimalsOutsideADoubleReadAsStrtodReadThem) {
+  // 400 digits overflow a double: out of range, as strtod's HUGE_VAL was.
+  std::string source = "problem p { pmax ";
+  source.append(400, '9').append("W }");
+  const ParseResult huge = parseProblem(source);
+  EXPECT_FALSE(huge.ok());
+  EXPECT_TRUE(anyErrorContains(huge.errors, "out of range"));
+  // A value below the smallest double underflows to 0, as in strtod.
+  source = "problem p { background 0.";
+  source.append(400, '0').append("1W }");
+  const ParseResult tiny = parseProblem(source);
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny.problem->backgroundPower(), Watts::zero());
+}
+
 TEST(ParserLimitsTest, SelfLoopSeparationIsAStructuredError) {
   // Used to escape as a CheckError from the constraint graph layer.
   const ParseResult r = parseProblem(
@@ -99,6 +114,103 @@ TEST(ParserLimitsTest, SelfLoopSeparationIsAStructuredError) {
       "min a -> a 5 }");
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.errors.empty());
+}
+
+// Problem's own preconditions (model/problem.cpp) are checked by the
+// parser first: each is an item error at the offending token, and the
+// parse goes on, so later mistakes in the same file are reported too.
+
+/// No error may come from the catch-all that turns an escaped CheckError
+/// into "invalid problem: PAWS_CHECK failed ... at <source path>".
+void expectNoCheckText(const ParseResult& r) {
+  for (const ParseError& e : r.errors) {
+    EXPECT_EQ(e.message.find("PAWS_CHECK"), std::string::npos) << format(e);
+    EXPECT_EQ(e.message.find("invalid problem"), std::string::npos)
+        << format(e);
+  }
+}
+
+TEST(ParserLimitsTest, NegativeTaskPowerIsPositionedAtItsValue) {
+  const ParseResult r = parseProblem(
+      "problem p {\n"
+      "  resource r\n"
+      "  task a { resource r delay 1 power -2.5W }\n"
+      "  deadline nosuch 5\n"
+      "}\n");
+  ASSERT_EQ(r.errors.size(), 2u);
+  EXPECT_EQ(format(r.errors[0]), "3:37: task 'a' needs a non-negative power");
+  EXPECT_EQ(format(r.errors[1]), "4:12: unknown task 'nosuch'");
+  expectNoCheckText(r);
+}
+
+TEST(ParserLimitsTest, EmptyResourceNameIsPositionedAtTheName) {
+  const ParseResult r = parseProblem(
+      "problem p {\n"
+      "  resource \"\"\n"
+      "  resource r\n"
+      "  task a { resource r delay 0 power 1W }\n"
+      "}\n");
+  ASSERT_EQ(r.errors.size(), 2u);
+  EXPECT_EQ(format(r.errors[0]), "2:12: resource name must be non-empty");
+  EXPECT_EQ(format(r.errors[1]), "5:1: task 'a' needs a positive delay");
+  expectNoCheckText(r);
+}
+
+TEST(ParserLimitsTest, EmptyTaskNameIsPositionedAtTheName) {
+  const ParseResult r = parseProblem(
+      "problem p {\n"
+      "  resource r\n"
+      "  task \"\" { resource r delay 1 power 1W }\n"
+      "  task b { resource r delay 1 power 1W }\n"
+      "  min \"\" -> b 1\n"
+      "}\n");
+  ASSERT_EQ(r.errors.size(), 2u);
+  EXPECT_EQ(format(r.errors[0]), "3:8: task name must be non-empty");
+  EXPECT_EQ(format(r.errors[1]), "5:7: unknown task ''");
+  expectNoCheckText(r);
+}
+
+TEST(ParserLimitsTest, SelfSeparationsArePositionedAtTheSecondName) {
+  const ParseResult r = parseProblem(
+      "problem p {\n"
+      "  resource r\n"
+      "  task a { resource r delay 1 power 1W }\n"
+      "  min a -> a 5\n"
+      "  max a -> a 9\n"
+      "  precedes a -> a\n"
+      "  precedes a -> a 2\n"
+      "  bogus\n"
+      "}\n");
+  ASSERT_EQ(r.errors.size(), 5u);
+  EXPECT_EQ(format(r.errors[0]),
+            "4:12: min constraint from task 'a' to itself");
+  EXPECT_EQ(format(r.errors[1]),
+            "5:12: max constraint from task 'a' to itself");
+  EXPECT_EQ(format(r.errors[2]),
+            "6:17: precedes constraint from task 'a' to itself");
+  EXPECT_EQ(format(r.errors[3]),
+            "7:17: precedes constraint from task 'a' to itself");
+  EXPECT_EQ(format(r.errors[4]), "8:3: unknown item 'bogus'");
+  expectNoCheckText(r);
+}
+
+TEST(ParserLimitsTest, OneRunReportsEveryPreconditionAndParseError) {
+  // The three mistakes of one file: a negative power, an unknown
+  // resource and a bogus item — three errors, not one.
+  const ParseResult r = parseProblem(
+      "problem p {\n"
+      "  resource r\n"
+      "  task a { resource r delay 1 power -1W }\n"
+      "  task b { resource nosuch delay 1 power 1W }\n"
+      "  frobnicate 3\n"
+      "}\n");
+  ASSERT_EQ(r.errors.size(), 4u);
+  EXPECT_EQ(format(r.errors[0]), "3:37: task 'a' needs a non-negative power");
+  EXPECT_EQ(format(r.errors[1]), "4:12: unknown resource 'nosuch'");
+  EXPECT_EQ(format(r.errors[2]),
+            "5:3: task 'b' needs resource, delay and power attributes");
+  EXPECT_EQ(format(r.errors[3]), "5:3: unknown item 'frobnicate'");
+  expectNoCheckText(r);
 }
 
 TEST(ParserLimitsTest, TaskCountIsCapped) {

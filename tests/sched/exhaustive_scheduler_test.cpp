@@ -103,6 +103,38 @@ TEST(ExhaustiveSchedulerTest, NodeBudgetTrips) {
   EXPECT_FALSE(scheduler.outcome().provenOptimal);
 }
 
+TEST(ExhaustiveSchedulerTest, NodeBudgetCutsAtTheSameNodeOnOneWorker) {
+  // Workers add their node counts to the shared total in batches, but the
+  // budget test reads the total plus the unflushed count: one worker stops
+  // on exactly the node the per-node counter stopped on, also around a
+  // batch boundary, and keeps the incumbent found by then. The costs were
+  // recorded with the per-node counter.
+  GeneratorConfig cfg;
+  cfg.seed = 2;
+  cfg.numTasks = 6;
+  cfg.numResources = 3;
+  const GeneratedProblem gp = generateRandomProblem(cfg);
+  struct Cut {
+    std::uint64_t maxNodes;
+    std::int64_t costMwt;
+  };
+  for (const Cut& cut : {Cut{50, 45745}, Cut{1023, 40643}, Cut{1024, 40643},
+                         Cut{1025, 40643}, Cut{40000, 40643}}) {
+    ExhaustiveOptions opt;
+    opt.maxNodes = cut.maxNodes;
+    opt.jobs = 1;
+    ExhaustiveScheduler scheduler(gp.problem, opt);
+    const ScheduleResult r = scheduler.schedule();
+    EXPECT_EQ(scheduler.outcome().nodesExplored, cut.maxNodes + 1);
+    EXPECT_FALSE(scheduler.outcome().provenOptimal);
+    ASSERT_TRUE(r.schedule.has_value()) << cut.maxNodes;
+    EXPECT_EQ(r.schedule->energyCost(gp.problem.minPower()).milliwattTicks(),
+              cut.costMwt)
+        << cut.maxNodes;
+    EXPECT_EQ(r.schedule->finish().ticks(), 18) << cut.maxNodes;
+  }
+}
+
 class ExhaustiveVsHeuristic : public ::testing::TestWithParam<std::uint32_t> {
 };
 

@@ -384,6 +384,24 @@ TEST_F(DaemonFixture, UnparseableProblemIsStructuredInvalid) {
   EXPECT_FALSE(response.reason.empty());
 }
 
+TEST_F(DaemonFixture, ProblemPreconditionIsAPositionedInvalidReason) {
+  // A negative task power breaks a Problem precondition. The reason names
+  // the offending token, as a parse error does, never the internal check
+  // (whose text would carry a source path of the build).
+  boot();
+  Request request;
+  request.problemText =
+      "problem \"negative\" {\n"
+      "  resource cpu\n"
+      "  task a { resource cpu delay 2 power -3W }\n"
+      "}\n";
+  Response response;
+  ASSERT_TRUE(requestOnce(daemon->boundAddress(), request, response, 10000));
+  EXPECT_EQ(response.outcome, "invalid");
+  EXPECT_EQ(response.reason, "3:39: task 'a' needs a non-negative power");
+  EXPECT_EQ(response.reason.find("PAWS_CHECK"), std::string::npos);
+}
+
 TEST_F(DaemonFixture, InfeasibleProblemIsStructuredNotACrash) {
   boot();
   Request request;
