@@ -180,8 +180,8 @@ std::optional<ScheduleResult> tryServeExact(ScheduleCache& cache,
                                             const Problem& problem,
                                             const CacheKey& key,
                                             SolveInfo* infoOut) {
-  std::optional<CacheEntry> entry = cache.lookup(key);
-  if (!entry.has_value()) return std::nullopt;
+  const std::shared_ptr<const CacheEntry> entry = cache.lookup(key);
+  if (entry == nullptr) return std::nullopt;
   std::optional<Schedule> schedule = rebind(*entry, problem);
   if (!schedule.has_value()) return std::nullopt;
   if (infoOut != nullptr) {
@@ -210,7 +210,7 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
   // matching but numerically different entry is a heuristic answer, which
   // is exactly the pipeline's contract and exactly wrong for `optimal`.
   if (spec.scheduler == "pipeline") {
-    if (std::optional<CacheEntry> candidate =
+    if (const std::shared_ptr<const CacheEntry> candidate =
             cache.lookupStructural(structuralHash, key.optionsFp)) {
       if (std::optional<Schedule> cached = bind(*candidate, problem)) {
         ScheduleResult served;
@@ -266,7 +266,8 @@ ScheduleResult solveMiss(ScheduleCache& cache, const Problem& problem,
                                optionsFingerprint("pipeline", spec.trials)};
     std::optional<Schedule> heuristic;
     ScheduleResult pipelineResult;
-    if (std::optional<CacheEntry> entry = cache.peek(pipelineKey)) {
+    if (const std::shared_ptr<const CacheEntry> entry =
+            cache.peek(pipelineKey)) {
       heuristic = rebind(*entry, problem);
     }
     if (!heuristic.has_value()) {

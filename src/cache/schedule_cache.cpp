@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -61,44 +62,49 @@ ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards)
   if (capacityPerShard_ == 0) capacityPerShard_ = 1;
 }
 
-std::optional<CacheEntry> ScheduleCache::lookup(const CacheKey& key) {
+std::shared_ptr<const CacheEntry> ScheduleCache::lookup(const CacheKey& key) {
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->second;
 }
 
-std::optional<CacheEntry> ScheduleCache::peek(const CacheKey& key) const {
+std::shared_ptr<const CacheEntry> ScheduleCache::peek(
+    const CacheKey& key) const {
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
-  if (it == shard.map.end()) return std::nullopt;
+  if (it == shard.map.end()) return nullptr;
   return it->second->second;
 }
 
 void ScheduleCache::insert(const CacheKey& key, CacheEntry entry) {
   const std::uint64_t structuralHash = entry.structuralHash;
+  auto stored = std::make_shared<const CacheEntry>(std::move(entry));
+  // A replaced or evicted entry is freed after the shard lock, unless a
+  // reader still holds it.
+  std::shared_ptr<const CacheEntry> released;
   {
     Shard& shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      it->second->second = std::move(entry);
+      released = std::exchange(it->second->second, std::move(stored));
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
       if (shard.map.size() >= capacityPerShard_) {
-        const CacheKey& victim = shard.lru.back().first;
-        shard.map.erase(victim);
+        shard.map.erase(shard.lru.back().first);
+        released = std::move(shard.lru.back().second);
         shard.lru.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
       }
-      shard.lru.emplace_front(key, std::move(entry));
+      shard.lru.emplace_front(key, std::move(stored));
       shard.map.emplace(key, shard.lru.begin());
     }
     insertions_.fetch_add(1, std::memory_order_relaxed);
@@ -107,19 +113,19 @@ void ScheduleCache::insert(const CacheKey& key, CacheEntry entry) {
   structIndex_[CacheKey{structuralHash, key.optionsFp}] = key;
 }
 
-std::optional<CacheEntry> ScheduleCache::lookupStructural(
+std::shared_ptr<const CacheEntry> ScheduleCache::lookupStructural(
     std::uint64_t structuralHash, std::uint64_t optionsFp) {
   CacheKey primary;
   {
     std::lock_guard<std::mutex> lock(structMu_);
     auto it = structIndex_.find(CacheKey{structuralHash, optionsFp});
-    if (it == structIndex_.end()) return std::nullopt;
+    if (it == structIndex_.end()) return nullptr;
     primary = it->second;
   }
   Shard& shard = shardFor(primary);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(primary);
-  if (it == shard.map.end()) return std::nullopt;  // evicted since indexed
+  if (it == shard.map.end()) return nullptr;  // evicted since indexed
   return it->second->second;
 }
 
@@ -167,7 +173,7 @@ bool ScheduleCache::save(const std::string& path, std::string* error) const {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
       const CacheKey& key = it->first;
-      const CacheEntry& e = it->second;
+      const CacheEntry& e = *it->second;
       if (!first) os << ",";
       first = false;
       os << "\n    {\"problem_hash\": "

@@ -12,8 +12,11 @@
 //
 // Concurrency: the map is split into shards, each guarded by its own
 // mutex around an intrusive LRU list — `pawsc` batch workers on the
-// paws::exec pool hit different shards mostly contention-free. Stats are
-// relaxed atomics. A secondary structural index (structural hash →
+// paws::exec pool hit different shards mostly contention-free. Entries
+// are immutable and shared: a probe returns the stored pointer (one
+// reference count under the shard lock, no copy), and an insert swaps in
+// a new pointer, so a reader still holding the old entry keeps it whole
+// through overwrites and evictions. Stats are relaxed atomics. A secondary structural index (structural hash →
 // primary key) powers the near-miss path; it is best-effort and may point
 // at evicted entries, in which case the probe simply misses.
 //
@@ -31,7 +34,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -105,22 +107,25 @@ class ScheduleCache {
                          std::size_t shards = 8);
 
   /// Exact-key probe; counts a hit or a miss and refreshes LRU recency.
-  [[nodiscard]] std::optional<CacheEntry> lookup(const CacheKey& key);
+  /// Null on a miss.
+  [[nodiscard]] std::shared_ptr<const CacheEntry> lookup(const CacheKey& key);
 
   /// Exact-key probe that is NOT request traffic: no hit/miss counted, no
   /// recency refresh. Used by the warm-start seed probe, which is an
   /// optimization inside one request, not a second request.
-  [[nodiscard]] std::optional<CacheEntry> peek(const CacheKey& key) const;
+  [[nodiscard]] std::shared_ptr<const CacheEntry> peek(
+      const CacheKey& key) const;
 
-  /// Inserts or overwrites; evicts the least-recently-used entry of the
-  /// target shard when it is full.
+  /// Inserts or overwrites (replacing the stored pointer, never the entry
+  /// it points to); evicts the least-recently-used entry of the target
+  /// shard when it is full.
   void insert(const CacheKey& key, CacheEntry entry);
 
   /// Near-miss probe: an entry whose *structural* hash matches, under the
   /// same options fingerprint, whatever its full canonical hash. Does not
   /// count toward hits/misses (the caller records a revalidation when the
   /// candidate actually serves) and does not refresh recency.
-  [[nodiscard]] std::optional<CacheEntry> lookupStructural(
+  [[nodiscard]] std::shared_ptr<const CacheEntry> lookupStructural(
       std::uint64_t structuralHash, std::uint64_t optionsFp);
 
   // Outcome counters owned by the resolver's logic, kept here so one
@@ -158,14 +163,12 @@ class ScheduleCache {
   [[nodiscard]] static const char* kFileName() { return "paws_cache.json"; }
 
  private:
+  using Slot = std::pair<CacheKey, std::shared_ptr<const CacheEntry>>;
   struct Shard {
     mutable std::mutex mu;
     /// Most-recent entry at the front.
-    std::list<std::pair<CacheKey, CacheEntry>> lru;
-    std::unordered_map<CacheKey,
-                       std::list<std::pair<CacheKey, CacheEntry>>::iterator,
-                       CacheKeyHash>
-        map;
+    std::list<Slot> lru;
+    std::unordered_map<CacheKey, std::list<Slot>::iterator, CacheKeyHash> map;
   };
 
   [[nodiscard]] Shard& shardFor(const CacheKey& key) const {

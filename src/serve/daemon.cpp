@@ -26,6 +26,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// How long the acceptor and the connection threads block in poll(2)
+/// before re-checking their stop flags.
+constexpr int kPollTickMs = 100;
+
 std::int64_t usBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::microseconds>(b - a).count();
 }
@@ -130,7 +134,10 @@ Daemon::Daemon(DaemonConfig config)
       pool_(config_.solverThreads,
             config_.maxQueued == 0 ? 1 : config_.maxQueued),
       cache_(config_.cacheCapacity),
-      ladder_(config_.ladder) {}
+      ladder_(config_.ladder) {
+  // Present from the first scrape, so an alert on it reads 0, not absent.
+  metrics_.add("serve.accept_errors", 0);
+}
 
 Daemon::~Daemon() {
   requestStop();
@@ -219,11 +226,9 @@ bool Daemon::start(std::string* error) {
 std::string Daemon::boundAddress() const { return boundAddress_; }
 
 int Daemon::run() {
-  // The acceptor owns accept(2); this thread is the drain supervisor.
-  while (!stopRequested_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    reapFinishedConnections();
-  }
+  // The acceptor returns within one poll tick of requestStop(); this
+  // thread then supervises the drain.
+  if (acceptor_.joinable()) acceptor_.join();
   drain();
   return 0;
 }
@@ -231,21 +236,59 @@ int Daemon::run() {
 void Daemon::acceptLoop() {
   while (!stopRequested_.load(std::memory_order_relaxed)) {
     pollfd p{listenFd_, POLLIN, 0};
-    const int rc = ::poll(&p, 1, 100);
+    const int rc = ::poll(&p, 1, kPollTickMs);
     if (rc <= 0) continue;  // timeout slice or EINTR: re-check stop flag
     const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    Connection* raw = conn.get();
-    {
-      // The thread member is joined by the reaper under connMu_; the
-      // assignment must happen under the same lock or a connection that
-      // finishes instantly races the reaper against the move-assign.
-      std::lock_guard<std::mutex> lock(connMu_);
-      connections_.push_back(std::move(conn));
-      raw->thread = std::thread([this, raw] { connectionLoop(*raw); });
+    if (fd < 0) {
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // The pending connection keeps the listen fd readable: retrying
+        // at once would spin until a descriptor or buffer frees up.
+        bumpServe("serve.accept_errors");
+        std::this_thread::sleep_for(std::chrono::milliseconds(kPollTickMs));
+      }
+      continue;
     }
+    bumpServe("serve.connections_accepted");
+    Connection* starting = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(connMu_);
+      pendingFds_.push_back(fd);
+      if (pendingFds_.size() > idleThreads_) {
+        ++idleThreads_;
+        connections_.push_back(std::make_unique<Connection>());
+        starting = connections_.back().get();
+      }
+    }
+    if (starting == nullptr) {
+      connReady_.notify_one();
+      continue;
+    }
+    // Counted first, so no scrape the new thread serves can miss it.
+    bumpServe("serve.connection_threads_started");
+    // Only drain() reads the thread member, after joining this thread.
+    starting->thread =
+        std::thread([this, starting] { connectionThread(*starting); });
+  }
+}
+
+void Daemon::connectionThread(Connection& conn) {
+  std::unique_lock<std::mutex> lock(connMu_);
+  for (;;) {
+    connReady_.wait(lock,
+                    [this] { return closing_ || !pendingFds_.empty(); });
+    if (closing_) return;
+    conn.fd = pendingFds_.front();
+    pendingFds_.pop_front();
+    --idleThreads_;
+    lock.unlock();
+    connectionLoop(conn);
+    lock.lock();
+    // drain() shuts down open fds under connMu_; closing under the same
+    // lock keeps it from ever shutting down a recycled descriptor number.
+    ::close(conn.fd);
+    conn.fd = -1;
+    ++idleThreads_;
   }
 }
 
@@ -256,7 +299,7 @@ void Daemon::connectionLoop(Connection& conn) {
   bool keepOpen = true;
   while (keepOpen && !draining_.load(std::memory_order_relaxed)) {
     pollfd p{conn.fd, POLLIN, 0};
-    const int rc = ::poll(&p, 1, 100);
+    const int rc = ::poll(&p, 1, kPollTickMs);
     if (rc < 0 && errno != EINTR) break;
     if (rc <= 0) {
       // Idle tick. A *partial* frame stalled past the watchdog is a slow
@@ -319,15 +362,6 @@ void Daemon::connectionLoop(Connection& conn) {
       }
     }
   }
-  {
-    // drain() reads fd under connMu_ to shut down lingering sockets;
-    // closing under the same lock keeps it from ever shutting down a
-    // recycled descriptor number.
-    std::lock_guard<std::mutex> lock(connMu_);
-    ::close(conn.fd);
-    conn.fd = -1;
-  }
-  conn.done.store(true, std::memory_order_release);
 }
 
 bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
@@ -584,18 +618,6 @@ obs::MetricsRegistry Daemon::metricsSnapshot() const {
   return snapshot;
 }
 
-void Daemon::reapFinishedConnections() {
-  std::lock_guard<std::mutex> lock(connMu_);
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void Daemon::drain() {
   const auto drainStartNs = trace_.nowNs();
   const Clock::time_point t0 = Clock::now();
@@ -628,22 +650,24 @@ void Daemon::drain() {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  // Phase 3: pop every connection out of recv() and join. The list is
-  // swapped out under the lock, but the joins happen outside it — a
-  // connection's exit path takes connMu_ to close its fd, so joining
-  // while holding the lock would deadlock against it.
-  std::vector<std::unique_ptr<Connection>> remaining;
+  // Phase 3: close the fds no thread has claimed, pop every serving
+  // thread out of recv(), wake every parked one, and join them all. The
+  // joins happen outside the lock — a thread takes connMu_ to close its
+  // fd and to park, so joining while holding it would deadlock.
   {
     std::lock_guard<std::mutex> lock(connMu_);
-    remaining.swap(connections_);
-    for (const auto& conn : remaining) {
+    closing_ = true;
+    for (const int fd : pendingFds_) ::close(fd);
+    pendingFds_.clear();
+    for (const auto& conn : connections_) {
       if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
     }
   }
-  for (const auto& conn : remaining) {
+  connReady_.notify_all();
+  for (const auto& conn : connections_) {
     if (conn->thread.joinable()) conn->thread.join();
   }
-  remaining.clear();
+  connections_.clear();
 
   // Phase 4: persist the cache so the next process starts warm.
   if (!config_.cacheDir.empty()) {

@@ -3,8 +3,21 @@
 //
 // The robustness architecture, end to end:
 //
-//   accept thread ── thread per connection ── bounded exec::Pool
+//   accept thread ── FIFO of accepted fds ── resident connection threads
+//                                                  │ misses only
+//                                           bounded exec::Pool
 //
+//   * Resident connection threads: the acceptor pushes each accepted fd
+//     onto a FIFO and wakes one parked connection thread; it starts a new
+//     thread only when more fds wait than threads are idle. A thread
+//     serves one connection at a time, closes its fd and parks for the
+//     next. No thread retires before the drain, so the count settles at
+//     about the peak of concurrently open connections — a one-connection-
+//     per-request client pays no clone, exit or join per request.
+//   * Accept back-off: when accept(2) fails for want of descriptors or
+//     memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) the acceptor waits one poll
+//     tick before retrying, since the pending connection keeps the listen
+//     fd readable and an immediate retry would spin a whole CPU.
 //   * Exact hits inline: a request's cache key is computed once, on its
 //     connection thread, and an exact cache hit is answered right there,
 //     before admission, in every mode but reject_new and draining. Only
@@ -28,7 +41,8 @@
 //   * Graceful drain: requestStop() (async-signal-safe: one atomic store)
 //     makes run() stop accepting, refuse new work with
 //     `overloaded`/`draining`, wait out in-flight solves up to the drain
-//     budget, cancel stragglers (they return anytime results), flush the
+//     budget, cancel stragglers (they return anytime results), close the
+//     fds no thread has claimed, wake every parked thread, flush the
 //     cache to --cache-dir, and join every thread before returning.
 //   * Hard input caps: wire frames are bounded by io::kMaxSourceBytes
 //     before allocation (serve/frame.hpp), request headers by
@@ -38,12 +52,16 @@
 // Counters (daemon-wide registry, scraped via a kMetricsRequest frame as
 // OpenMetrics text): serve.accepted, serve.completed, serve.shed,
 // serve.invalid, serve.cancelled, serve.deadline, serve.degraded,
-// serve.cache_hits, serve.mode_changes, serve.drained, plus the
-// serve.service_time_us histogram and the exec.*/cache.* exports.
+// serve.cache_hits, serve.mode_changes, serve.drained,
+// serve.connections_accepted, serve.connection_threads_started,
+// serve.accept_errors, plus the serve.service_time_us histogram and the
+// exec.*/cache.* exports.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -91,7 +109,7 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Binds, listens, loads any persisted cache, and spawns the acceptor.
+  /// Binds, listens, loads any persisted cache, and starts the acceptor.
   /// False (with *error) on bind/listen failure.
   [[nodiscard]] bool start(std::string* error);
 
@@ -120,10 +138,12 @@ class Daemon {
   [[nodiscard]] const obs::TraceSink& trace() const { return trace_; }
 
  private:
+  /// One resident connection thread and its reusable slot.
   struct Connection {
+    /// The connection being served, -1 while the thread is parked. Only
+    /// the owning thread writes it, under connMu_.
     int fd = -1;
     std::thread thread;
-    std::atomic<bool> done{false};
     /// Cancels the connection's in-flight solve, if any. Guarded by
     /// cancelMu: the connection thread installs a fresh source per
     /// request while the drain thread fires the current one.
@@ -133,6 +153,9 @@ class Daemon {
   };
 
   void acceptLoop();
+  /// A resident thread's life: claim the oldest accepted fd, serve it,
+  /// close it, park; until drain() sets closing_.
+  void connectionThread(Connection& conn);
   void connectionLoop(Connection& conn);
   /// Serves one kRequest payload; false when the connection must close.
   bool handleRequest(Connection& conn, const std::string& payload);
@@ -143,7 +166,6 @@ class Daemon {
   void traceInstant(obs::TraceEventKind kind, const char* label,
                     std::int64_t value = 0);
   void drain();
-  void reapFinishedConnections();
 
   DaemonConfig config_;
   int listenFd_ = -1;
@@ -161,6 +183,19 @@ class Daemon {
 
   std::thread acceptor_;
   mutable std::mutex connMu_;
+  /// Signalled once per accepted fd handed to a parked thread, and by
+  /// drain() when closing_ is set.
+  std::condition_variable connReady_;
+  /// Accepted fds no thread has claimed yet, oldest first.
+  std::deque<int> pendingFds_;
+  /// Threads not serving a connection: parked, or started and not yet
+  /// parked. The acceptor starts a thread when pendingFds_ outgrows it.
+  std::size_t idleThreads_ = 0;
+  /// Set by drain() phase 3: parked threads exit instead of waiting.
+  bool closing_ = false;
+  /// Every thread started, each with its slot. Grows (under connMu_)
+  /// only on the acceptor, so once drain() has joined the acceptor it
+  /// may walk the list to join the threads without the lock.
   std::vector<std::unique_ptr<Connection>> connections_;
 
   mutable std::mutex metricsMu_;

@@ -144,8 +144,8 @@ TEST_F(PersistenceFixture, MalformedEntriesSkipWhileHealthyOnesLoad) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().loadSkippedEntries, 4u);
   EXPECT_EQ(cache.stats().loadRejectedFiles, 0u);
-  EXPECT_TRUE(cache.lookup(CacheKey{0xabc, 0x1}).has_value());
-  EXPECT_TRUE(cache.lookup(CacheKey{0xdef, 0x1}).has_value());
+  EXPECT_NE(cache.lookup(CacheKey{0xabc, 0x1}), nullptr);
+  EXPECT_NE(cache.lookup(CacheKey{0xdef, 0x1}), nullptr);
 }
 
 TEST_F(PersistenceFixture, OverlongHexKeyIsSkippedNotTruncated) {
@@ -169,7 +169,7 @@ TEST_F(PersistenceFixture, DamagedStructuralHashDegradesToNoNearMissIndex) {
   // Entry still serves by exact key; only the near-miss index is lost.
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().loadSkippedEntries, 0u);
-  EXPECT_TRUE(cache.lookup(CacheKey{0xabc, 0x1}).has_value());
+  EXPECT_NE(cache.lookup(CacheKey{0xabc, 0x1}), nullptr);
 }
 
 TEST_F(PersistenceFixture, LoadCountersReachTheMetricsRegistry) {

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,10 +27,10 @@ CacheEntry entryWith(const std::string& text, std::int64_t cost) {
 TEST(ScheduleCacheTest, MissThenHit) {
   ScheduleCache cache;
   const CacheKey key{1, 2};
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   cache.insert(key, entryWith("s", 5));
   const auto hit = cache.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->scheduleText, "s");
   EXPECT_EQ(hit->costMwt, 5);
   EXPECT_EQ(hit->stats.longestPathRuns, 3u);
@@ -43,9 +44,9 @@ TEST(ScheduleCacheTest, MissThenHit) {
 TEST(ScheduleCacheTest, PeekIsNotTraffic) {
   ScheduleCache cache;
   const CacheKey key{1, 2};
-  EXPECT_FALSE(cache.peek(key).has_value());
+  EXPECT_EQ(cache.peek(key), nullptr);
   cache.insert(key, entryWith("s", 5));
-  EXPECT_TRUE(cache.peek(key).has_value());
+  EXPECT_NE(cache.peek(key), nullptr);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 0u);
@@ -56,11 +57,11 @@ TEST(ScheduleCacheTest, LruEvictsTheColdestEntry) {
   cache.insert(CacheKey{1, 0}, entryWith("a", 1));
   cache.insert(CacheKey{2, 0}, entryWith("b", 2));
   // Touch "a" so "b" is the LRU victim when "c" arrives.
-  EXPECT_TRUE(cache.lookup(CacheKey{1, 0}).has_value());
+  EXPECT_NE(cache.lookup(CacheKey{1, 0}), nullptr);
   cache.insert(CacheKey{3, 0}, entryWith("c", 3));
-  EXPECT_TRUE(cache.lookup(CacheKey{1, 0}).has_value());
-  EXPECT_FALSE(cache.lookup(CacheKey{2, 0}).has_value());
-  EXPECT_TRUE(cache.lookup(CacheKey{3, 0}).has_value());
+  EXPECT_NE(cache.lookup(CacheKey{1, 0}), nullptr);
+  EXPECT_EQ(cache.lookup(CacheKey{2, 0}), nullptr);
+  EXPECT_NE(cache.lookup(CacheKey{3, 0}), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 2u);
 }
@@ -74,6 +75,37 @@ TEST(ScheduleCacheTest, InsertOverwritesInPlace) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
+TEST(ScheduleCacheTest, LookupSharesTheStoredEntryAndSurvivesOverwrite) {
+  ScheduleCache cache(/*capacity=*/1, /*shards=*/1);
+  CacheEntry e = entryWith("old", 1);
+  e.startsByName = {{"a", 0}, {"b", 4}};
+  cache.insert(CacheKey{1, 0}, e);
+  // Every probe hands out the stored entry itself, not a copy.
+  const std::shared_ptr<const CacheEntry> held = cache.lookup(CacheKey{1, 0});
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(cache.peek(CacheKey{1, 0}).get(), held.get());
+  EXPECT_EQ(cache.lookupStructural(7, 0).get(), held.get());
+  EXPECT_EQ(held.use_count(), 2);  // the cache's pointer and ours
+
+  // An overwrite swaps the pointer: the reader's entry stays whole.
+  cache.insert(CacheKey{1, 0}, entryWith("new", 9));
+  EXPECT_EQ(held->scheduleText, "old");
+  EXPECT_EQ(held->costMwt, 1);
+  EXPECT_EQ(held->startsByName.size(), 2u);
+  EXPECT_EQ(held.use_count(), 1);
+  const std::shared_ptr<const CacheEntry> fresh = cache.lookup(CacheKey{1, 0});
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_NE(fresh.get(), held.get());
+  EXPECT_EQ(fresh->scheduleText, "new");
+
+  // So does an eviction.
+  cache.insert(CacheKey{2, 0}, entryWith("other", 3));
+  EXPECT_EQ(cache.lookup(CacheKey{1, 0}), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(fresh->scheduleText, "new");
+  EXPECT_EQ(fresh->costMwt, 9);
+}
+
 TEST(ScheduleCacheTest, StructuralIndexFindsNearMisses) {
   ScheduleCache cache;
   CacheEntry e = entryWith("s", 5);
@@ -81,10 +113,10 @@ TEST(ScheduleCacheTest, StructuralIndexFindsNearMisses) {
   cache.insert(CacheKey{100, 7}, e);
   // Same skeleton + options, any canonical hash.
   const auto hit = cache.lookupStructural(42, 7);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->scheduleText, "s");
   // Different options fingerprint: no candidate.
-  EXPECT_FALSE(cache.lookupStructural(42, 8).has_value());
+  EXPECT_EQ(cache.lookupStructural(42, 8), nullptr);
   // Structural probes are not hit/miss traffic.
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
@@ -132,7 +164,7 @@ TEST(ScheduleCacheTest, SaveLoadRoundTripsEntriesAndRecency) {
   // Loading is bookkeeping: run-traffic stats start at zero.
   EXPECT_EQ(cache.stats().insertions, 0u);
   const auto hit = cache.lookup(CacheKey{0xabcdef, 0x123});
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->scheduleText, "schedule \"x\" of \"p\" {\n}\n");
   EXPECT_EQ(hit->costMwt, 123);
   EXPECT_TRUE(hit->provenOptimal);
@@ -140,7 +172,7 @@ TEST(ScheduleCacheTest, SaveLoadRoundTripsEntriesAndRecency) {
   EXPECT_EQ(hit->stats.improvements, 4u);
   EXPECT_EQ(hit->nodesExplored, 11u);
   // Structural index is rebuilt from the loaded entries.
-  EXPECT_TRUE(cache.lookupStructural(7, 0x123).has_value());
+  EXPECT_NE(cache.lookupStructural(7, 0x123), nullptr);
   std::remove(path.c_str());
 }
 

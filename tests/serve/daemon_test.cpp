@@ -1,6 +1,8 @@
 // End-to-end daemon tests over real sockets: one process, real TCP/unix
 // transports, the full admission → solve → respond path.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -11,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cache/cached_solve.hpp"
 #include "io/parser.hpp"
@@ -545,6 +548,113 @@ TEST_F(DaemonFixture, DrainingDaemonRefusesNewWorkStructurally) {
   }
   runner.join();
   EXPECT_EQ(exitCode, 0);
+}
+
+TEST_F(DaemonFixture, AcceptFailureBacksOffInsteadOfSpinning) {
+  boot();
+  const std::string address = daemon->boundAddress();
+  // The descriptor limit is process-wide, so the daemon in this process
+  // shares it. Cap it one above the lowest free number: the client's
+  // socket takes that number, and the daemon's accept(2) of the client
+  // then fails with EMFILE while the connection waits in the backlog.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowestFree = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowestFree, 0);
+  ::close(lowestFree);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(lowestFree) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  Client held;
+  const bool connected = held.connect(address);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const bool restored = ::setrlimit(RLIMIT_NOFILE, &saved) == 0;
+  ASSERT_TRUE(restored);
+  ASSERT_TRUE(connected);
+
+  ASSERT_TRUE(held.sendRequest(tinyRequest()));
+  Response response;
+  ASSERT_TRUE(held.readResponse(response, 10000));
+  EXPECT_EQ(response.outcome, "ok") << response.reason;
+  // One failure per poll tick (100 ms), not a retry loop.
+  const double errors = scrape(address)["paws_serve_accept_errors_total"];
+  EXPECT_GE(errors, 1);
+  EXPECT_LE(errors, 10);
+}
+
+TEST_F(DaemonFixture, SequentialConnectionsReuseTheirThreads) {
+  boot();
+  const std::string address = daemon->boundAddress();
+  for (int i = 0; i < 100; ++i) {
+    Response response;
+    ASSERT_TRUE(requestOnce(address, tinyRequest(), response, 10000)) << i;
+    ASSERT_EQ(response.outcome, "ok") << i;
+  }
+  std::map<std::string, double> metrics = scrape(address);
+  EXPECT_GE(metrics["paws_serve_connections_accepted_total"], 100);
+  // A closing connection's thread may not have parked yet when the next
+  // one-shot client connects: a few threads, never one per connection.
+  EXPECT_LE(metrics["paws_serve_connection_threads_started_total"], 4);
+  EXPECT_EQ(metrics["paws_serve_accept_errors_total"], 0);
+}
+
+TEST_F(DaemonFixture, ConcurrentThenSequentialConnectionsAddNoThreads) {
+  boot();
+  const std::string address = daemon->boundAddress();
+  {
+    std::vector<Client> clients(6);
+    for (Client& client : clients) {
+      ASSERT_TRUE(client.connect(address));
+      ASSERT_TRUE(client.sendRequest(tinyRequest()));
+    }
+    for (Client& client : clients) {
+      Response response;
+      ASSERT_TRUE(client.readResponse(response, 10000));
+      EXPECT_EQ(response.outcome, "ok");
+    }
+  }
+  const double started =
+      scrape(address)["paws_serve_connection_threads_started_total"];
+  EXPECT_GE(started, 6);
+  for (int i = 0; i < 30; ++i) {
+    Response response;
+    ASSERT_TRUE(requestOnce(address, tinyRequest(), response, 10000)) << i;
+    ASSERT_EQ(response.outcome, "ok") << i;
+  }
+  EXPECT_LE(scrape(address)["paws_serve_connection_threads_started_total"],
+            started + 2);
+}
+
+TEST_F(DaemonFixture, DrainJoinsParkedAndIdleConnectionThreads) {
+  boot();
+  const std::string address = daemon->boundAddress();
+  std::vector<Client> idle(3);
+  for (Client& client : idle) ASSERT_TRUE(client.connect(address));
+  for (int i = 0; i < 10; ++i) {
+    Response response;
+    ASSERT_TRUE(requestOnce(address, tinyRequest(), response, 10000)) << i;
+  }
+  // The one-shot connections are gone, so their threads are parked (or
+  // about to be) beside the three serving the idle clients.
+  EXPECT_GE(scrape(address)["paws_serve_connection_threads_started_total"],
+            4);
+
+  const auto stopAt = std::chrono::steady_clock::now();
+  daemon->requestStop();
+  runner.join();
+  const auto drainMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - stopAt)
+                           .count();
+  EXPECT_EQ(exitCode, 0);
+  EXPECT_LT(drainMs, config.drainBudgetMs);
+  for (Client& client : idle) {
+    // EOF, not the read timeout: each idle connection was closed.
+    const auto readAt = std::chrono::steady_clock::now();
+    Response response;
+    EXPECT_FALSE(client.readResponse(response, 5000));
+    EXPECT_LT(std::chrono::steady_clock::now() - readAt,
+              std::chrono::seconds(2));
+  }
 }
 
 }  // namespace
